@@ -28,7 +28,7 @@ from .closure import (
 )
 from .errors import GraphError, IdealError, ResourceLimitError
 from .ideal import contains_power, edge_ideal
-from .wgraph import WeightedGraph, chordless_cycles
+from .wgraph import WeightedGraph, disjoint_odd_pairs, odd_chordless_cycles
 
 DEFAULT_CONFIG_CAP = 1000
 
@@ -101,30 +101,9 @@ def find_f1_f2_f3(G):
                         edges=tuple(sorted((_edge_triple(G, u, v), _edge_triple(G, v, w)))),
                     )
                 )
-    for a, b, c in combinations(G.vertices(), 3):
-        if (
-            G.has_edge(a, b)
-            and G.has_edge(a, c)
-            and G.has_edge(b, c)
-            and G.weight(a, b) > 1
-            and G.weight(a, c) > 1
-            and G.weight(b, c) > 1
-        ):
-            configs.append(
-                ForbiddenConfig(
-                    "F2",
-                    vertices=(a, b, c),
-                    edges=tuple(
-                        sorted(
-                            (
-                                _edge_triple(G, a, b),
-                                _edge_triple(G, a, c),
-                                _edge_triple(G, b, c),
-                            )
-                        )
-                    ),
-                )
-            )
+            elif v < u and G.weight(u, w) > 1:  # a heavy triangle, met at its least vertex
+                edges = (_edge_triple(G, v, u), _edge_triple(G, v, w), _edge_triple(G, u, w))
+                configs.append(ForbiddenConfig("F2", vertices=(v, u, w), edges=edges))
     heavy_edges = G.nontrivial_edges()
     for e, f in combinations(heavy_edges, 2):
         quad = {e[0], e[1], f[0], f[1]}
@@ -150,23 +129,24 @@ def _cycle_edges(G, cycle):
     )
 
 
-def find_f4(G):
+def find_f4(G, odd=None):
     """All (chordless odd cycle, disjoint nontrivial edge) pairs with no
-    edge between the cycle and the edge.  Cycle weights are unconstrained."""
+    edge between the cycle and the edge.  Cycle weights are unconstrained.
+    `odd`, when given, is odd_chordless_cycles(G)."""
+    if odd is None:
+        odd = odd_chordless_cycles(G)
     configs = []
-    odd = [c for c in chordless_cycles(G) if len(c) % 2 == 1]
     heavy_edges = G.nontrivial_edges()
     for cycle in odd:
-        cset = set(cycle)
+        # the cycle's closed neighbourhood: the pendant must avoid it
+        closed = set(cycle).union(*(G.adj[x] for x in cycle))
         for u, v, w in heavy_edges:
-            if u in cset or v in cset:
-                continue
-            if any(G.has_edge(x, y) for x in cycle for y in (u, v)):
+            if u in closed or v in closed:
                 continue
             configs.append(
                 ForbiddenConfig(
                     "F4",
-                    vertices=tuple(sorted(cset | {u, v})),
+                    vertices=tuple(sorted(cycle + (u, v))),
                     edges=tuple(sorted(_cycle_edges(G, cycle) + ((u, v, w),))),
                     cycles=(cycle,),
                     pendant=(u, v, w),
@@ -176,35 +156,27 @@ def find_f4(G):
     return configs
 
 
-def find_f5(G):
+def find_f5(G, odd=None):
     """All pairs of vertex-disjoint chordless odd cycles whose connecting
-    edges are all nontrivial (the connector set may be empty)."""
+    edges are all nontrivial (the connector set may be empty).
+    `odd`, when given, is odd_chordless_cycles(G)."""
+    if odd is None:
+        odd = odd_chordless_cycles(G)
     configs = []
-    odd = [c for c in chordless_cycles(G) if len(c) % 2 == 1]
-    for i, c1 in enumerate(odd):
-        s1 = set(c1)
-        for c2 in odd[i + 1 :]:
-            if s1 & set(c2):
-                continue
-            cross = [
-                _edge_triple(G, x, y)
-                for x in c1
-                for y in c2
-                if G.has_edge(x, y)
-            ]
-            if any(w == 1 for (_, _, w) in cross):
-                continue
-            configs.append(
-                ForbiddenConfig(
-                    "F5",
-                    vertices=tuple(sorted(s1 | set(c2))),
-                    edges=tuple(
-                        sorted(_cycle_edges(G, c1) + _cycle_edges(G, c2) + tuple(cross))
-                    ),
-                    cycles=(c1, c2),
-                    connectors=tuple(sorted(cross)),
-                )
+    for c1, c2, cross in disjoint_odd_pairs(G, odd):
+        if any(w == 1 for (_, _, w) in cross):
+            continue
+        configs.append(
+            ForbiddenConfig(
+                "F5",
+                vertices=tuple(sorted(c1 + c2)),
+                edges=tuple(
+                    sorted(_cycle_edges(G, c1) + _cycle_edges(G, c2) + tuple(cross))
+                ),
+                cycles=(c1, c2),
+                connectors=tuple(sorted(cross)),
             )
+        )
     configs.sort(key=lambda c: (c.vertices, c.edges))
     return configs
 
@@ -331,7 +303,8 @@ def classify(G, config_cap=DEFAULT_CONFIG_CAP):
     """
     if not G.edges:
         raise GraphError("classification needs at least one edge")
-    found = find_f1_f2_f3(G) + find_f4(G) + find_f5(G)
+    odd = odd_chordless_cycles(G)
+    found = find_f1_f2_f3(G) + find_f4(G, odd) + find_f5(G, odd)
     integrally_closed = not any(c.kind in ("F1", "F2", "F3") for c in found)
     normal = not found
     notes = []

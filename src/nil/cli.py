@@ -88,8 +88,10 @@ def parse_graph_json(text):
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise GraphFileError('expected an object with "vertices" and "edges"')
     n = data["vertices"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise GraphFileError('"vertices" must be an integer')
+    if not isinstance(data["edges"], list):
+        raise GraphFileError('"edges" must be a list')
     edges = []
     for item in data["edges"]:
         if not isinstance(item, list) or len(item) not in (2, 3):
@@ -246,7 +248,6 @@ def cmd_enumerate(args):
         {
             "family": {"max_vertices": args.max_vertices, "weights": list(weights)},
             "t_max": args.tmax,
-            "seed": args.seed,
             "graphs_checked": report.graphs_checked,
             "classes_checked": report.classes_checked,
             "disagreements": list(report.disagreements),
@@ -352,7 +353,6 @@ def build_parser():
     p.add_argument("--max-vertices", type=int, default=4)
     p.add_argument("--weights", type=_weights_arg, default=(1, 2))
     p.add_argument("--tmax", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0, help="recorded in the report")
     p.add_argument("--safety-cap", type=int, default=6)
     p.set_defaults(func=cmd_enumerate)
 

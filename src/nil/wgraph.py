@@ -18,6 +18,11 @@ from .errors import GraphError, ResourceLimitError
 DEFAULT_CYCLE_CAP = 10**6
 
 
+def _is_int(x):
+    # bool is an int subclass, but True is no vertex count, label or weight
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class WeightedGraph:
     """Simple graph on {1..n} with positive integer edge weights.
 
@@ -28,7 +33,7 @@ class WeightedGraph:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n, edge_list=()):
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise GraphError(f"vertex count must be a nonnegative integer, got {n!r}")
         self.n = n
         self.edges = {}
@@ -39,13 +44,13 @@ class WeightedGraph:
                 w = 1
             else:
                 u, v, w = item
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (_is_int(u) and _is_int(v)):
                 raise GraphError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u} is not allowed")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphError(f"edge ({u}, {v}) has an endpoint outside 1..{n}")
-            if not isinstance(w, int) or w < 1:
+            if not _is_int(w) or w < 1:
                 raise GraphError(f"edge ({u}, {v}) has weight {w!r}; weights must be integers >= 1")
             key = (u, v) if u < v else (v, u)
             if key in self.edges:
@@ -326,6 +331,23 @@ def has_even_cycle(G):
     return False
 
 
+def odd_chordless_cycles(G):
+    """The odd entries of chordless_cycles(G), in its order."""
+    return [c for c in chordless_cycles(G) if len(c) % 2 == 1]
+
+
+def disjoint_odd_pairs(G, odd):
+    """Yield (c1, c2, cross) for every two vertex-disjoint cycles of `odd`,
+    c1 listed before c2; cross lists the (u, v, w) edges, u < v, joining them."""
+    for i, c1 in enumerate(odd):
+        s1 = set(c1)
+        for c2 in odd[i + 1 :]:
+            if s1.isdisjoint(c2):
+                yield c1, c2, [
+                    (min(x, y), max(x, y), G.weight(x, y)) for x in c1 for y in c2 if y in G.adj[x]
+                ]
+
+
 def odd_cycle_condition(G):
     """(True, None) iff every two vertex-disjoint odd cycles are joined by
     an edge; else (False, (C1, C2)) with a concrete violating pair.
@@ -333,14 +355,9 @@ def odd_cycle_condition(G):
     Only chordless odd cycles need checking: every odd cycle contains a
     chordless odd cycle on a subset of its vertices.
     """
-    odd = [c for c in chordless_cycles(G) if len(c) % 2 == 1]
-    for i, c1 in enumerate(odd):
-        s1 = set(c1)
-        for c2 in odd[i + 1 :]:
-            if s1 & set(c2):
-                continue
-            if not any(G.has_edge(u, v) for u in c1 for v in c2):
-                return False, (c1, c2)
+    for c1, c2, cross in disjoint_odd_pairs(G, odd_chordless_cycles(G)):
+        if not cross:
+            return False, (c1, c2)
     return True, None
 
 

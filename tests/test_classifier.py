@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -41,6 +42,11 @@ class TestFinders:
     def test_heavy_triangle_is_one_f2_and_no_f1(self):
         configs = find_f1_f2_f3(triangle((2, 2, 2)))
         assert [c.kind for c in configs] == ["F2"]
+        # every triangle of a heavy K5 counts once
+        k5 = build_graph(5, [(u, v, 2) for u, v in combinations(range(1, 6), 2)])
+        configs = find_f1_f2_f3(k5)
+        assert [c.kind for c in configs] == ["F2"] * 10
+        assert [c.vertices for c in configs] == list(combinations(range(1, 6), 3))
 
     def test_two_disjoint_heavy_edges_are_f3(self):
         configs = find_f1_f2_f3(build_graph(4, [(1, 2, 2), (3, 4, 2)]))
@@ -136,6 +142,15 @@ class TestClassify:
             G = random_graph_with_edge(rng, n_max=6)
             report = classify(G)
             assert not report.normal or report.integrally_closed
+
+    def test_found_matches_public_finders(self):
+        # classify shares one odd-cycle list between F4 and F5; the finders
+        # called alone enumerate their own
+        rng = random.Random(107)
+        for _ in range(150):
+            G = random_graph_with_edge(rng, n_max=8, weights=(1, 2, 3))
+            report = classify(G, config_cap=10**6)
+            assert report.found == tuple(find_f1_f2_f3(G) + find_f4(G) + find_f5(G))
 
     def test_priority_order(self):
         # heavy triangle plus heavy disjoint edge: F2, F3 and F4 all occur;

@@ -10,7 +10,7 @@ from nil.cli import (
     parse_graph_text,
     serialize_graph,
 )
-from nil.errors import GraphFileError
+from nil.errors import GraphError, GraphFileError
 from nil.wgraph import build_graph
 
 from _oracles import random_graph
@@ -65,8 +65,6 @@ class TestParsing:
             parse_graph_text("vertices 2\nedge 1 two")
 
     def test_validation_surfaced(self):
-        from nil.errors import GraphError
-
         with pytest.raises(GraphError, match="self-loop"):
             parse_graph_text("vertices 2\nedge 1 1")
 
@@ -81,6 +79,14 @@ class TestParsing:
             parse_graph_json('{"edges": []}')
         with pytest.raises(GraphFileError, match="edge entries"):
             parse_graph_json('{"vertices": 2, "edges": [[1]]}')
+        with pytest.raises(GraphFileError, match='"edges" must be a list'):
+            parse_graph_json('{"vertices": 3, "edges": 5}')
+        with pytest.raises(GraphFileError, match='"vertices" must be an integer'):
+            parse_graph_json('{"vertices": true, "edges": []}')
+        with pytest.raises(GraphError, match="endpoints must be integers"):
+            parse_graph_json('{"vertices": 3, "edges": [[1, true, 2]]}')
+        with pytest.raises(GraphError, match="weights must be integers"):
+            parse_graph_json('{"vertices": 3, "edges": [[1, 2, true]]}')
 
     def test_format_detection(self, tmp_path):
         G = build_graph(4, [(1, 2, 2), (3, 4, 5)])
@@ -126,6 +132,16 @@ class TestExitCodes:
         path.write_text("edge 1 2\n")
         assert main(["classify", str(path)]) == 2
         assert "line 1" in capsys.readouterr().err
+        for text in (
+            '{"vertices": 3, "edges": 5}',
+            '{"vertices": true, "edges": []}',
+            '{"vertices": 3, "edges": [[1, true, 2]]}',
+        ):
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            assert main(["classify", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["classify", "/nonexistent/graph.txt"]) == 2
@@ -220,7 +236,6 @@ class TestCommands:
         assert payload["graphs_checked"] == 28
         assert payload["disagreements"] == []
         assert payload["skipped"] == []
-        assert payload["seed"] == 0
 
     def test_enumerate_trivial_weights_all_normal(self, capsys):
         # with weight 1 everywhere and at most 3 vertices no configuration fits

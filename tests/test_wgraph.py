@@ -11,11 +11,13 @@ from nil.wgraph import (
     chordless_cycles,
     classify_compact,
     connected_components,
+    disjoint_odd_pairs,
     disjoint_union,
     has_even_cycle,
     induced_subgraph,
     is_bipartite,
     is_cycle_of,
+    odd_chordless_cycles,
     odd_cycle_condition,
     trivial_leaves,
 )
@@ -79,6 +81,8 @@ class TestConstruction:
     def test_bad_weight_rejected(self):
         with pytest.raises(GraphError, match="weight"):
             build_graph(2, [(1, 2, 0)])
+        with pytest.raises(GraphError, match="weight"):
+            build_graph(2, [(1, 2, True)])
 
     def test_pair_defaults_to_weight_one(self):
         assert build_graph(2, [(1, 2)]).weight(1, 2) == 1
@@ -248,6 +252,9 @@ class TestOddCycleCondition:
     def test_joined_triangles_pass(self):
         G = build_graph(6, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (4, 5, 1), (5, 6, 1), (4, 6, 1), (1, 4, 1)])
         assert odd_cycle_condition(G) == (True, None)
+        odd = odd_chordless_cycles(G)
+        assert odd == [(1, 2, 3), (4, 5, 6)]
+        assert list(disjoint_odd_pairs(G, odd)) == [((1, 2, 3), (4, 5, 6), [(1, 4, 1)])]
 
     def test_bipartite_vacuous(self):
         assert odd_cycle_condition(cycle_graph(8)) == (True, None)
