@@ -421,10 +421,11 @@ def cross_validate(
     For every labeled graph: the integral-closedness verdict must equal
     the oracle's answer at power 1; a "not normal" verdict must come with
     a certificate the oracle verifies; a "normal" verdict must survive
-    normality_scan up to t_max.  Oracle work is deduplicated by canonical
-    edge set (relabelings share one representative).  Any disagreement is
-    reported with the graph serialized; oracle resource errors skip the
-    class with a logged reason, never a silent pass.
+    normality_scan up to t_max, whose t = 1 step is also the power-1
+    check, so no power is scanned twice.  Oracle work is deduplicated by
+    canonical edge set (relabelings share one representative).  Any
+    disagreement is reported with the graph serialized; oracle resource
+    errors skip the class with a logged reason, never a silent pass.
     """
     total = sum(
         (len(family.weights) + 1) ** (n * (n - 1) // 2) - 1
@@ -469,9 +470,14 @@ def cross_validate(
             entry = (report.integrally_closed, report.normal)
             rep_verdicts[rep] = entry
             try:
-                oracle_closed, _ = is_power_integrally_closed(
-                    edge_ideal(G), 1, box_budget=box_budget
-                )
+                I = edge_ideal(G)
+                if report.normal:
+                    verdict = normality_scan(I, t_max=t_max, box_budget=box_budget)
+                    oracle_closed = verdict.status != "counterexample" or verdict.t > 1
+                else:
+                    oracle_closed, _ = is_power_integrally_closed(
+                        I, 1, box_budget=box_budget
+                    )
                 if oracle_closed != report.integrally_closed:
                     disagreements.append(
                         {
@@ -503,19 +509,15 @@ def cross_validate(
                                 "detail": cert.note,
                             }
                         )
-                else:
-                    verdict = normality_scan(
-                        edge_ideal(G), t_max=t_max, box_budget=box_budget
+                elif verdict.status != "normal_up_to":
+                    disagreements.append(
+                        {
+                            "graph": graph_as_dict(G),
+                            "issue": "classifier says normal but oracle found a counterexample",
+                            "t": verdict.t,
+                            "witness": list(verdict.witness),
+                        }
                     )
-                    if verdict.status != "normal_up_to":
-                        disagreements.append(
-                            {
-                                "graph": graph_as_dict(G),
-                                "issue": "classifier says normal but oracle found a counterexample",
-                                "t": verdict.t,
-                                "witness": list(verdict.witness),
-                            }
-                        )
                 if report.integrally_closed and report.normal:
                     normal_classes += 1
                 elif report.integrally_closed:

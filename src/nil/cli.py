@@ -85,6 +85,9 @@ def parse_graph_json(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFileError(f"invalid JSON: {exc}", exc.lineno) from None
+    except (ValueError, RecursionError) as exc:
+        # integers past the digit limit; arrays nested past the recursion limit
+        raise GraphFileError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise GraphFileError('expected an object with "vertices" and "edges"')
     n = data["vertices"]
@@ -102,7 +105,10 @@ def parse_graph_json(text):
 
 def parse_graph_file(path, fmt=None):
     """Parse a graph file; format from `fmt` or the file extension."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFileError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "text"
     if fmt == "json":

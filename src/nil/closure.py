@@ -18,7 +18,7 @@ from math import prod
 
 from . import simplex
 from .errors import IdealError, ResourceLimitError
-from .ideal import MonomialIdeal, divides, power
+from .ideal import MonomialIdeal, _check_exponent, contains_power, divides, power
 
 DEFAULT_BOX_BUDGET = 10**7
 
@@ -68,25 +68,14 @@ def lp_max_weight(I, a, pivot_cap=simplex.DEFAULT_PIVOT_CAP):
     """
     a = tuple(a)
     _require_nonzero(I)
-    if len(a) != I.n:
-        raise IdealError(f"exponent length {len(a)} does not match ambient {I.n}")
-    for x in a:
-        if not isinstance(x, int) or x < 0:
-            raise IdealError(f"exponent entries must be nonnegative integers, got {x!r}")
+    _check_exponent(a, I.n)
 
     optimum, coeffs = simplex.maximize_total(I.gens, a, pivot_cap=pivot_cap)
 
-    total = Fraction(0)
-    combo = [Fraction(0)] * I.n
-    for c, g in zip(coeffs, I.gens):
-        if c < 0:
-            raise RuntimeError("LP returned a negative coefficient")
-        if c:
-            total += c
-            for i, gi in enumerate(g):
-                if gi:
-                    combo[i] += c * gi
-    if total != optimum or any(combo[i] > a[i] for i in range(I.n)):
+    if min(coeffs) < 0:
+        raise RuntimeError("LP returned a negative coefficient")
+    combo = _weighted_sum(coeffs, I.gens)
+    if sum(c for c in coeffs if c) != optimum or any(x > y for x, y in zip(combo, a)):
         raise RuntimeError("LP certificate failed exact re-substitution")
     return LPResult(optimum=optimum, coeffs=tuple(coeffs))
 
@@ -209,7 +198,7 @@ def normality_scan(I, t_max=3, box_budget=DEFAULT_BOX_BUDGET):
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"power t={t}: {exc}") from exc
         if not closed:
-            if lp_cache[witness] < t or any(divides(p, witness) for p in power(I, t).gens):
+            if lp_cache[witness] < t or contains_power(I, witness, t):
                 raise RuntimeError("counterexample witness failed verification")
             return NormalityVerdict(status="counterexample", t=t, witness=witness)
     return NormalityVerdict(status="normal_up_to", t=t_max)
@@ -286,7 +275,8 @@ def _weighted_sum(coeffs, gens):
     n = len(gens[0])
     out = [Fraction(0)] * n
     for c, g in zip(coeffs, gens):
-        for i, gi in enumerate(g):
-            if gi:
-                out[i] += c * gi
+        if c:
+            for i, gi in enumerate(g):
+                if gi:
+                    out[i] += c * gi
     return tuple(out)

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from .errors import GraphError, ResourceLimitError
 
 DEFAULT_CYCLE_CAP = 10**6
+# Every vertex gets an adjacency set and a report entry, so a graph file
+# cannot ask for more than this many.
+_MAX_VERTICES = 10**5
 
 
 def _is_int(x):
@@ -35,6 +38,8 @@ class WeightedGraph:
     def __init__(self, n, edge_list=()):
         if not _is_int(n) or n < 0:
             raise GraphError(f"vertex count must be a nonnegative integer, got {n!r}")
+        if n > _MAX_VERTICES:
+            raise ResourceLimitError(f"vertex count {n} exceeds the cap {_MAX_VERTICES}")
         self.n = n
         self.edges = {}
         self.adj = {v: set() for v in range(1, n + 1)}
@@ -222,42 +227,46 @@ def chordless_cycles(G, max_len=None, max_count=DEFAULT_CYCLE_CAP):
         return []
     cycles = []
     adj = G.adj
-
-    def extend(path, members):
-        last = path[-1]
-        anchor = path[0]
-        room = max_len is None or len(path) < max_len
-        for y in sorted(adj[last]):
-            if y <= anchor or y in members:
-                continue
-            # y may touch only `last` (to extend) or `last` and `anchor` (to close)
-            blocked = False
-            for p in path[1:-1]:
-                if y in adj[p]:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            if y in adj[anchor]:
-                closable = max_len is None or len(path) + 1 <= max_len
-                if closable and len(path) >= 2 and path[1] < y:
-                    cycles.append(tuple(path) + (y,))
-                    if len(cycles) > max_count:
-                        raise ResourceLimitError(
-                            f"chordless cycle count exceeds cap {max_count}"
-                        )
-                continue
-            if room:
-                members.add(y)
-                path.append(y)
-                extend(path, members)
-                path.pop()
-                members.remove(y)
+    # touch[y]: how many interior path vertices (all but both ends) are
+    # adjacent to y; y may join the path only while it is 0.  The path is
+    # extended with an explicit stack, so its length is not bounded by the
+    # recursion limit.
+    touch = [0] * (G.n + 1)
 
     for a in G.vertices():
-        for b in sorted(adj[a]):
-            if b > a:
-                extend([a, b], {a, b})
+        anchor_adj = adj[a]
+        for b in sorted(anchor_adj):
+            if b < a:
+                continue
+            path = [a, b]
+            members = {a, b}
+            stack = [iter(sorted(adj[b]))]
+            while stack:
+                room = max_len is None or len(path) < max_len
+                for y in stack[-1]:
+                    if y <= a or y in members or touch[y]:
+                        continue
+                    if y in anchor_adj:
+                        if room and path[1] < y:
+                            cycles.append(tuple(path) + (y,))
+                            if len(cycles) > max_count:
+                                raise ResourceLimitError(
+                                    f"chordless cycle count exceeds cap {max_count}"
+                                )
+                        continue
+                    if room:
+                        for z in adj[path[-1]]:
+                            touch[z] += 1
+                        path.append(y)
+                        members.add(y)
+                        stack.append(iter(sorted(adj[y])))
+                        break
+                else:
+                    stack.pop()
+                    if stack:
+                        members.remove(path.pop())
+                        for z in adj[path[-1]]:
+                            touch[z] -= 1
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
 

@@ -357,6 +357,30 @@ class TestCrossValidate:
         assert report.graphs_checked == 2 + 26
         assert report.note
 
+    def test_no_power_scanned_twice(self, monkeypatch):
+        import nil.classifier
+        import nil.closure
+
+        original = nil.closure.is_power_integrally_closed
+        scans = []
+
+        def spy(I, k, *args, **kwargs):
+            scans.append((I, k))
+            return original(I, k, *args, **kwargs)
+
+        monkeypatch.setattr(nil.closure, "is_power_integrally_closed", spy)
+        monkeypatch.setattr(nil.classifier, "is_power_integrally_closed", spy)
+        report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
+        assert scans and len(scans) == len(set(scans))
+        assert report.agreed
+        counts = (
+            report.classes_checked,
+            report.normal_classes,
+            report.closed_not_normal_classes,
+            report.not_closed_classes,
+        )
+        assert counts == (11, 9, 0, 2)
+
     def test_single_edge_family(self):
         report = cross_validate(GraphFamily(2, (1,)), t_max=1)
         assert report.agreed

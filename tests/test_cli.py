@@ -1,7 +1,11 @@
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nil.cli import (
     main,
@@ -143,6 +147,35 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_undecodable_input_exits_two(self, tmp_path, capsys):
+        for name, data in (
+            ("bad.txt", b"vertices 2\nedge 1 2 \xff\n"),
+            ("deep.json", b"[" * 100_000 + b"]" * 100_000),
+            ("digits.json", b'{"vertices": ' + b"1" * 5000 + b', "edges": []}'),
+        ):
+            path = tmp_path / name
+            path.write_bytes(data)
+            assert main(["classify", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_vertex_cap_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("vertices 1000000000\nedge 1 2\n")
+        assert main(["classify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cap" in err
+
+    def test_long_cycle_classifies(self, tmp_path, capsys):
+        n = 1500
+        path = tmp_path / "c1500.txt"
+        path.write_text(
+            f"vertices {n}\n" + "".join(f"edge {v} {v % n + 1}\n" for v in range(1, n + 1))
+        )
+        assert main(["classify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["normal"]
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["classify", "/nonexistent/graph.txt"]) == 2
 
@@ -277,3 +310,72 @@ class TestDeterminism:
         main(["enumerate", "--max-vertices", "3", "--weights", "1,2"])
         second = capsys.readouterr().out
         assert first == second
+
+
+@st.composite
+def _graphs(draw):
+    """(n, edges): distinct (u, v, w) edges on 1..n, n <= 12, w in 1..3."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    vertex = st.integers(min_value=1, max_value=n)
+    pairs = draw(
+        st.lists(
+            st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]),
+            min_size=1,
+            max_size=20,
+            unique_by=frozenset,
+        )
+    )
+    return n, [(u, v, draw(st.integers(min_value=1, max_value=3))) for u, v in pairs]
+
+
+# a stray line: an edge that may be out of range, a loop, weight 0, or junk
+_TEXT_LINE = st.one_of(
+    st.tuples(
+        st.integers(min_value=-1, max_value=13),
+        st.integers(min_value=-1, max_value=13),
+        st.integers(min_value=0, max_value=3),
+    ).map(lambda e: "edge %d %d %d" % e),
+    st.text(max_size=12),
+)
+_TEXT_FILES = st.tuples(_graphs(), st.lists(_TEXT_LINE, max_size=2)).map(
+    lambda case: "\n".join(
+        [f"vertices {case[0][0]}"]
+        + [f"edge {u} {v} {w}" for u, v, w in case[0][1]]
+        + case[1]
+    ).encode()
+)
+
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.integers(min_value=-1, max_value=13),
+        st.booleans(),
+        st.floats(),
+        st.text(max_size=4),
+    ),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=12,
+)
+_JSON_FILES = st.one_of(
+    _graphs().map(lambda g: {"vertices": g[0], "edges": [list(e) for e in g[1]]}),
+    st.fixed_dictionaries({"vertices": _JSON_VALUES, "edges": _JSON_VALUES}),
+    _JSON_VALUES,
+).map(lambda doc: json.dumps(doc).encode())
+
+_GRAPH_FILES = st.one_of(
+    st.tuples(st.sampled_from([".txt", ".json"]), st.binary(max_size=200)),
+    st.tuples(st.just(".txt"), _TEXT_FILES),
+    st.tuples(st.just(".json"), _JSON_FILES),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_GRAPH_FILES)
+    def test_classify_exits_cleanly(self, case):
+        # any file ends in a report or a clean input/budget error, never a raise
+        suffix, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "graph" + suffix)
+            with open(path, "wb") as fh:
+                fh.write(data)
+            assert main(["classify", path]) in {0, 2, 3, 10, 11}
