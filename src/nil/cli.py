@@ -33,7 +33,7 @@ from .closure import (
     normality_scan,
 )
 from .errors import GraphError, GraphFileError, IdealError, ResourceLimitError
-from .ideal import contains_power, edge_ideal, power
+from .ideal import edge_ideal, power
 from .wgraph import build_graph, classify_compact
 
 ENV_BOX_BUDGET = "NIL_BOX_BUDGET"
@@ -200,7 +200,9 @@ def cmd_closure(args):
     I = edge_ideal(G)
     closure = closure_power_generators(I, args.k, box_budget=args.box_budget)
     pk = power(I, args.k)
-    difference = [g for g in closure.gens if not contains_power(I, g, args.k)]
+    # A minimal closure generator lies in I^k only as a generator of I^k.
+    power_gens = set(pk.gens)
+    difference = [g for g in closure.gens if g not in power_gens]
     _emit(
         {
             "k": args.k,

@@ -34,7 +34,6 @@ class LPResult:
 
     optimum: Fraction
     coeffs: tuple
-    status: str = "optimal"
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def _require_nonzero(I):
             raise IdealError("unit ideal (zero exponent generator) is unsupported")
 
 
-def lp_max_weight(I, a, pivot_cap=simplex.DEFAULT_PIVOT_CAP):
+def lp_max_weight(I, a):
     """Maximize sum(c) subject to c >= 0 and sum_j c_j * g_j <= a, exactly.
 
     The feasible region is bounded since every generator is nonzero with
@@ -70,7 +69,7 @@ def lp_max_weight(I, a, pivot_cap=simplex.DEFAULT_PIVOT_CAP):
     _require_nonzero(I)
     _check_exponent(a, I.n)
 
-    optimum, coeffs = simplex.maximize_total(I.gens, a, pivot_cap=pivot_cap)
+    optimum, coeffs = simplex.maximize_total(I.gens, a)
 
     if min(coeffs) < 0:
         raise RuntimeError("LP returned a negative coefficient")
@@ -80,38 +79,42 @@ def lp_max_weight(I, a, pivot_cap=simplex.DEFAULT_PIVOT_CAP):
     return LPResult(optimum=optimum, coeffs=tuple(coeffs))
 
 
-def in_closure_power(I, a, k, pivot_cap=simplex.DEFAULT_PIVOT_CAP):
+def in_closure_power(I, a, k):
     """True iff x^a lies in the integral closure of I^k."""
     if not isinstance(k, int) or k < 1:
         raise IdealError(f"power must be a positive integer, got {k!r}")
-    return lp_max_weight(I, a, pivot_cap=pivot_cap).optimum >= k
+    return lp_max_weight(I, a).optimum >= k
 
 
 def _box_bounds(I, k):
     return tuple(k * max(g[i] for g in I.gens) for i in range(I.n))
 
 
-def _box_points_by_degree(bounds):
-    """Lattice points of prod([0..b_i]) in ascending (total degree, lex) order."""
+def _box_points_by_degree(bounds, start):
+    """Lattice points of prod([0..b_i]) of total degree >= start, in
+    ascending (total degree, lex) order."""
     n = len(bounds)
     suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix[i] = suffix[i + 1] + bounds[i]
     point = [0] * n
-
-    def fill(i, remaining):
-        if i == n:
-            if remaining == 0:
-                yield tuple(point)
-            return
-        lo = max(0, remaining - suffix[i + 1])
-        hi = min(bounds[i], remaining)
-        for x in range(lo, hi + 1):
-            point[i] = x
-            yield from fill(i + 1, remaining - x)
-
-    for degree in range(suffix[0] + 1):
-        yield from fill(0, degree)
+    for degree in range(start, suffix[0] + 1):
+        i, rest = 0, degree
+        while True:
+            for j in range(i, n):  # lex-first split of rest over point[i:]
+                point[j] = max(0, rest - suffix[j + 1])
+                rest -= point[j]
+            yield tuple(point)
+            # The lex successor raises the rightmost coordinate that is below
+            # its bound and has a nonzero tail to take one unit from.
+            for i in range(n - 1, -1, -1):
+                if rest and point[i] < bounds[i]:
+                    break
+                rest += point[i]
+            else:
+                break
+            point[i] += 1
+            i, rest = i + 1, rest - 1
 
 
 def _scan_closure(I, k, box_budget, lp_cache, stop_at_failure):
@@ -130,16 +133,15 @@ def _scan_closure(I, k, box_budget, lp_cache, stop_at_failure):
             f"box volume {volume} exceeds budget {box_budget} "
             f"(bounds {list(bounds)})"
         )
-    power_gens = power(I, k).gens
+    power_gens = set(power(I, k).gens)
     min_degree = k * min(sum(g) for g in I.gens)
     found = []
     first_failure = None
-    for a in _box_points_by_degree(bounds):
-        if sum(a) < min_degree:
-            continue
+    for a in _box_points_by_degree(bounds, min_degree):
         if any(divides(g, a) for g in found):
             continue
-        if any(divides(p, a) for p in power_gens):
+        # A point no found generator divides is in I^k only as a generator.
+        if a in power_gens:
             found.append(a)
             continue
         opt = lp_cache.get(a)

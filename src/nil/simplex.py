@@ -2,11 +2,12 @@
 
 Solves   maximize  sum(c)   subject to   sum_j c_j * col_j <= rhs,  c >= 0
 
-over exact Fractions.  The data is integral and nonnegative with every
-column nonzero, so the origin is feasible and the optimum is finite; no
-phase-1 is needed.  Bland's smallest-index rule on both the entering and
-leaving choices prevents cycling, and a pivot cap fails loudly rather
-than looping.
+in exact arithmetic: the tableau holds the caller's ints until a pivot
+divides, and exact Fractions after that, never floats.  The data is
+integral and nonnegative with every column nonzero, so the origin is
+feasible and the optimum is finite; no phase-1 is needed.  Bland's
+smallest-index rule on both the entering and leaving choices prevents
+cycling, and a pivot cap fails loudly rather than looping.
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ from fractions import Fraction
 from .errors import ResourceLimitError
 
 DEFAULT_PIVOT_CAP = 10**5
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
@@ -40,12 +38,12 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
     width = s + m + 1
     rows = []
     for i in range(m):
-        row = [Fraction(col[i]) for col in columns]
-        row.extend(_ZERO for _ in range(m))
-        row.append(Fraction(rhs[i]))
-        row[s + i] = _ONE
+        row = [col[i] for col in columns] + [0] * m + [rhs[i]]
+        row[s + i] = 1
         rows.append(row)
-    obj = [Fraction(-1)] * s + [_ZERO] * (m + 1)
+    # Row m is the objective: reduced costs, then the optimum so far.
+    obj = [-1] * s + [0] * (m + 1)
+    rows.append(obj)
     basis = list(range(s, s + m))
 
     pivots = 0
@@ -63,7 +61,7 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
         for i in range(m):
             coef = rows[i][entering]
             if coef > 0:
-                ratio = rows[i][-1] / coef
+                ratio = Fraction(rows[i][-1], coef)
                 if (
                     leaving is None
                     or ratio < best_ratio
@@ -79,11 +77,11 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
             raise ResourceLimitError(f"simplex pivot count exceeds cap {pivot_cap}")
 
         prow = rows[leaving]
-        inv = _ONE / prow[entering]
-        if inv != _ONE:
+        p = prow[entering]
+        if p != 1:
             for j in range(width):
                 if prow[j]:
-                    prow[j] *= inv
+                    prow[j] = Fraction(prow[j], p)
         for row in rows:
             if row is prow:
                 continue
@@ -93,16 +91,10 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
                     pj = prow[j]
                     if pj:
                         row[j] -= factor * pj
-        factor = obj[entering]
-        if factor:
-            for j in range(width):
-                pj = prow[j]
-                if pj:
-                    obj[j] -= factor * pj
         basis[leaving] = entering
 
-    coeffs = [_ZERO] * s
+    coeffs = [Fraction(0)] * s
     for i, b in enumerate(basis):
         if b < s:
-            coeffs[b] = rows[i][-1]
-    return obj[-1], coeffs
+            coeffs[b] = Fraction(rows[i][-1])
+    return Fraction(obj[-1]), coeffs

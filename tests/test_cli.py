@@ -176,6 +176,14 @@ class TestExitCodes:
         assert main(["classify", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["normal"]
 
+    def test_many_vertices_oracle_commands(self, tmp_path, capsys):
+        path = tmp_path / "p3.txt"
+        path.write_text("vertices 1200\nedge 1 2\nedge 2 3\n")
+        assert main(["normality", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "normal_up_to"
+        assert main(["closure", str(path), "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["integrally_closed"]
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["classify", "/nonexistent/graph.txt"]) == 2
 

@@ -16,6 +16,11 @@ def check_solution(columns, rhs, optimum, coeffs):
         assert sum(c * col[i] for c, col in zip(coeffs, columns)) <= rhs[i]
 
 
+def assert_exact(optimum, coeffs):
+    assert isinstance(optimum, Fraction)
+    assert all(isinstance(c, Fraction) for c in coeffs)
+
+
 def test_half_plus_half():
     opt, coeffs = maximize_total([(2, 2, 0), (0, 2, 2)], (1, 2, 1))
     assert opt == 1
@@ -64,6 +69,7 @@ def test_agrees_with_fourier_motzkin():
         opt, coeffs = maximize_total(columns, rhs)
         assert opt == fm_max_total(columns, rhs)
         check_solution(columns, rhs, opt, coeffs)
+        assert_exact(opt, coeffs)
 
 
 def test_larger_random_instances_self_consistent():
@@ -79,6 +85,7 @@ def test_larger_random_instances_self_consistent():
         rhs = tuple(rng.randint(0, 8) for _ in range(m))
         opt, coeffs = maximize_total(columns, rhs)
         check_solution(columns, rhs, opt, coeffs)
+        assert_exact(opt, coeffs)
         # optimum dominates every coordinate-greedy single-column value
         for col in columns:
             bound = min(
