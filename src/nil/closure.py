@@ -3,8 +3,17 @@
 Membership of x^a in the integral closure of I^k is equivalent to the
 existence of nonnegative c with sum(c) >= k and sum_j c_j * g_j <= a over
 the minimal generators g_j.  One exact LP solve (maximize sum(c)) answers
-the question for every k at once, so optima are cached and reused across
-power levels.
+the question for every k at once.
+
+Every optimum is certified in both directions: the primal coefficients are
+re-substituted into the constraints, and the simplex's dual y is checked
+to be feasible (y >= 0 and <y, g_j> >= 1 for every generator) with
+<y, a> equal to the optimum, which by strong duality proves that no larger
+sum exists.  A feasible dual does not depend on a, so by weak duality it
+bounds the optimum at every point: <y, a> < k proves that x^a is not in
+the closure of I^k.  The box scan keeps its certified duals as integer
+cuts, shared across power levels, and solves an LP only at points that no
+cut rejects.
 
 No floating point appears anywhere in a decision path: all arithmetic is
 over Fractions and arbitrary-precision ints.
@@ -14,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import mul
 
 from . import simplex
 from .errors import IdealError, ResourceLimitError
@@ -27,13 +37,15 @@ DEFAULT_BOX_BUDGET = 10**7
 class LPResult:
     """Exact optimum of the closure-membership LP with a certified solution.
 
-    coeffs has one entry per generator of the ideal; the constraints
-    sum(coeffs) == optimum and sum_j coeffs_j * g_j <= a are re-checked in
-    exact arithmetic before the result is returned.
+    coeffs has one entry per generator of the ideal and dual one entry per
+    coordinate of a; the constraints sum(coeffs) == optimum, sum_j coeffs_j * g_j
+    <= a, dual >= 0, <dual, g_j> >= 1 and <dual, a> == optimum are
+    re-checked in exact arithmetic before the result is returned.
     """
 
     optimum: Fraction
     coeffs: tuple
+    dual: tuple
 
 
 @dataclass(frozen=True)
@@ -63,20 +75,27 @@ def lp_max_weight(I, a):
 
     The feasible region is bounded since every generator is nonzero with
     nonnegative entries.  The returned coefficients are verified against
-    the constraints by exact re-substitution.
+    the constraints by exact re-substitution, and the optimum is proved by
+    the dual solution.
     """
     a = tuple(a)
     _require_nonzero(I)
     _check_exponent(a, I.n)
 
-    optimum, coeffs = simplex.maximize_total(I.gens, a)
+    optimum, coeffs, dual = simplex.maximize_total(I.gens, a)
 
     if min(coeffs) < 0:
         raise RuntimeError("LP returned a negative coefficient")
     combo = _weighted_sum(coeffs, I.gens)
     if sum(c for c in coeffs if c) != optimum or any(x > y for x, y in zip(combo, a)):
         raise RuntimeError("LP certificate failed exact re-substitution")
-    return LPResult(optimum=optimum, coeffs=tuple(coeffs))
+    if (
+        min(dual) < 0
+        or any(_dot(dual, g) < 1 for g in I.gens)
+        or _dot(dual, a) != optimum
+    ):
+        raise RuntimeError("LP dual certificate failed exact verification")
+    return LPResult(optimum=optimum, coeffs=tuple(coeffs), dual=tuple(dual))
 
 
 def in_closure_power(I, a, k):
@@ -117,7 +136,13 @@ def _box_points_by_degree(bounds, start):
             i, rest = i + 1, rest - 1
 
 
-def _scan_closure(I, k, box_budget, lp_cache, stop_at_failure):
+def _integer_cut(dual):
+    """(Y, D): the dual scaled by the lcm D of its denominators to ints."""
+    D = lcm(*(y.denominator for y in dual))
+    return tuple(int(y * D) for y in dual), D
+
+
+def _scan_closure(I, k, box_budget, cuts, stop_at_failure):
     """Enumerate minimal generators of closure(I^k) inside the degree box.
 
     Returns (generators, first_failure) where first_failure is the first
@@ -125,6 +150,11 @@ def _scan_closure(I, k, box_budget, lp_cache, stop_at_failure):
     generator admits coefficients summing to exactly k, so no coordinate
     can exceed k times the per-coordinate generator maximum: the box is
     exhaustive.
+
+    cuts holds integer cuts (Y, D) from the certified duals of earlier
+    solves on I, at any power; the duals of this scan's solves are
+    appended.  A point a with <Y, a> < k * D has optimum below k, so it is
+    skipped without a solve.
     """
     bounds = _box_bounds(I, k)
     volume = prod(b + 1 for b in bounds)
@@ -144,11 +174,13 @@ def _scan_closure(I, k, box_budget, lp_cache, stop_at_failure):
         if a in power_gens:
             found.append(a)
             continue
-        opt = lp_cache.get(a)
-        if opt is None:
-            opt = lp_max_weight(I, a).optimum
-            lp_cache[a] = opt
-        if opt >= k:
+        if any(sum(map(mul, Y, a)) < k * D for Y, D in cuts):
+            continue
+        result = lp_max_weight(I, a)
+        cut = _integer_cut(result.dual)
+        if cut not in cuts:
+            cuts.append(cut)
+        if result.optimum >= k:
             found.append(a)
             if first_failure is None:
                 first_failure = a
@@ -162,11 +194,11 @@ def closure_power_generators(I, k, box_budget=DEFAULT_BOX_BUDGET):
     if not isinstance(k, int) or k < 1:
         raise IdealError(f"power must be a positive integer, got {k!r}")
     _require_nonzero(I)
-    gens, _ = _scan_closure(I, k, box_budget, {}, stop_at_failure=False)
+    gens, _ = _scan_closure(I, k, box_budget, [], stop_at_failure=False)
     return MonomialIdeal(I.n, gens)
 
 
-def is_power_integrally_closed(I, k, box_budget=DEFAULT_BOX_BUDGET, _lp_cache=None):
+def is_power_integrally_closed(I, k, box_budget=DEFAULT_BOX_BUDGET, _cuts=None):
     """(True, None) iff I^k equals its integral closure; else (False, witness).
 
     The witness is the first minimal generator of the closure, in
@@ -175,8 +207,8 @@ def is_power_integrally_closed(I, k, box_budget=DEFAULT_BOX_BUDGET, _lp_cache=No
     if not isinstance(k, int) or k < 1:
         raise IdealError(f"power must be a positive integer, got {k!r}")
     _require_nonzero(I)
-    cache = {} if _lp_cache is None else _lp_cache
-    _, failure = _scan_closure(I, k, box_budget, cache, stop_at_failure=True)
+    cuts = [] if _cuts is None else _cuts
+    _, failure = _scan_closure(I, k, box_budget, cuts, stop_at_failure=True)
     return (failure is None), failure
 
 
@@ -185,22 +217,22 @@ def normality_scan(I, t_max=3, box_budget=DEFAULT_BOX_BUDGET):
 
     Returns the first counterexample with its witness, else a
     "normal_up_to" verdict.  A normal_up_to verdict is explicitly not a
-    proof of normality for larger t.  LP optima are shared across the
+    proof of normality for larger t.  The dual cuts are shared across the
     power levels of one scan.
     """
     if not isinstance(t_max, int) or t_max < 1:
         raise IdealError(f"t_max must be a positive integer, got {t_max!r}")
     _require_nonzero(I)
-    lp_cache = {}
+    cuts = []
     for t in range(1, t_max + 1):
         try:
             closed, witness = is_power_integrally_closed(
-                I, t, box_budget=box_budget, _lp_cache=lp_cache
+                I, t, box_budget=box_budget, _cuts=cuts
             )
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"power t={t}: {exc}") from exc
         if not closed:
-            if lp_cache[witness] < t or contains_power(I, witness, t):
+            if not in_closure_power(I, witness, t) or contains_power(I, witness, t):
                 raise RuntimeError("counterexample witness failed verification")
             return NormalityVerdict(status="counterexample", t=t, witness=witness)
     return NormalityVerdict(status="normal_up_to", t=t_max)
@@ -271,6 +303,10 @@ def _cycle_generators(m, first_weight):
         g[(j + 1) % m] = w
         gens.append(tuple(g))
     return gens
+
+
+def _dot(y, a):
+    return sum(yi * ai for yi, ai in zip(y, a) if yi and ai)
 
 
 def _weighted_sum(coeffs, gens):

@@ -8,6 +8,16 @@ integral and nonnegative with every column nonzero, so the origin is
 feasible and the optimum is finite; no phase-1 is needed.  Bland's
 smallest-index rule on both the entering and leaving choices prevents
 cycling, and a pivot cap fails loudly rather than looping.
+
+At optimality the objective row holds, under the slack columns, an
+optimal solution y of the dual LP
+
+    minimize  <y, rhs>   subject to   <y, col_j> >= 1,  y >= 0,
+
+which is returned with the primal so that callers can certify the optimum.
+A row whose column entries are all zero is left out of the tableau: its
+slack never enters and never leaves, so the pivots are the same without
+it, and its dual entry is 0.
 """
 
 from __future__ import annotations
@@ -20,10 +30,11 @@ DEFAULT_PIVOT_CAP = 10**5
 
 
 def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
-    """Return (optimum, coeffs) for the packing LP above.
+    """Return (optimum, coeffs, dual) for the packing LP above.
 
     columns: sequence of integer vectors, each nonzero and nonnegative.
     rhs: integer vector of the same length, entries >= 0.
+    dual has one entry per entry of rhs.
     """
     m = len(rhs)
     s = len(columns)
@@ -35,11 +46,13 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
         if all(x == 0 for x in col):
             raise ValueError("zero column makes the LP unbounded")
 
+    live = [i for i in range(m) if any(col[i] for col in columns)]
+    m = len(live)
     width = s + m + 1
     rows = []
-    for i in range(m):
+    for r, i in enumerate(live):
         row = [col[i] for col in columns] + [0] * m + [rhs[i]]
-        row[s + i] = 1
+        row[s + r] = 1
         rows.append(row)
     # Row m is the objective: reduced costs, then the optimum so far.
     obj = [-1] * s + [0] * (m + 1)
@@ -97,4 +110,7 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
     for i, b in enumerate(basis):
         if b < s:
             coeffs[b] = Fraction(rows[i][-1])
-    return Fraction(obj[-1]), coeffs
+    dual = [Fraction(0)] * len(rhs)
+    for r, i in enumerate(live):
+        dual[i] = Fraction(obj[s + r])
+    return Fraction(obj[-1]), coeffs, dual

@@ -381,6 +381,22 @@ class TestCrossValidate:
         )
         assert counts == (11, 9, 0, 2)
 
+    def test_dual_cuts_save_lp_solves(self, monkeypatch):
+        import nil.closure
+
+        original = nil.closure.lp_max_weight
+        solves = []
+
+        def spy(I, a):
+            solves.append(a)
+            return original(I, a)
+
+        monkeypatch.setattr(nil.closure, "lp_max_weight", spy)
+        report = cross_validate(GraphFamily(3, (1, 2, 3)), t_max=3)
+        assert report.agreed
+        # 1,659 solves with one LP per box point; 46 with the dual cuts.
+        assert len(solves) <= 200
+
     def test_single_edge_family(self):
         report = cross_validate(GraphFamily(2, (1,)), t_max=1)
         assert report.agreed

@@ -184,6 +184,13 @@ class TestExitCodes:
         assert main(["closure", str(path), "1"]) == 0
         assert json.loads(capsys.readouterr().out)["integrally_closed"]
 
+    def test_untouched_vertices_stay_out_of_the_lp(self, tmp_path, capsys):
+        # One LP row per declared vertex made this take about 80 s.
+        path = tmp_path / "p3_heavy.txt"
+        path.write_text("vertices 5000\nedge 1 2 1\nedge 2 3 2\n")
+        assert main(["normality", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "normal_up_to"
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["classify", "/nonexistent/graph.txt"]) == 2
 

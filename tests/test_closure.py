@@ -96,6 +96,28 @@ class TestLpMaxWeight:
             a = random_exponent(rng, I.n, entry_max=6)
             assert lp_max_weight(I, a).optimum == fm_max_total(I.gens, a)
 
+    def test_dual_certifies_the_optimum(self):
+        result = lp_max_weight(F4_IDEAL, (1, 1, 1, 1, 1))
+        assert all(y >= 0 for y in result.dual)
+        for g in F4_IDEAL.gens:
+            assert sum(y * x for y, x in zip(result.dual, g)) >= 1
+        assert sum(result.dual) == result.optimum
+
+    def test_suboptimal_simplex_is_rejected(self, monkeypatch):
+        import nil.simplex
+
+        real = nil.simplex.maximize_total
+
+        def suboptimal(columns, rhs):
+            # A feasible primal point (all zeros) below the true optimum,
+            # returned with the true optimum's dual.
+            _, coeffs, dual = real(columns, rhs)
+            return Fraction(0), [Fraction(0)] * len(coeffs), dual
+
+        monkeypatch.setattr(nil.simplex, "maximize_total", suboptimal)
+        with pytest.raises(RuntimeError, match="dual"):
+            lp_max_weight(F1_IDEAL, (1, 2, 1))
+
 
 class TestInClosurePower:
     def test_f1_witness(self):
@@ -237,6 +259,24 @@ class TestNormalityScan:
     def test_budget_error_names_power(self):
         with pytest.raises(ResourceLimitError, match="power t=2"):
             normality_scan(F4_IDEAL, 3, box_budget=100)
+
+    def test_dual_cuts_save_lp_solves(self, monkeypatch):
+        import nil.closure
+
+        original = nil.closure.lp_max_weight
+        solves = []
+
+        def spy(I, a):
+            solves.append(a)
+            return original(I, a)
+
+        monkeypatch.setattr(nil.closure, "lp_max_weight", spy)
+        verdict = normality_scan(F4_IDEAL, 3)
+        assert (verdict.status, verdict.t) == ("counterexample", 2)
+        assert verdict.witness == (1, 1, 1, 1, 1)
+        # 119 solves with one LP per box point; 9 plus the witness re-check
+        # with the dual cuts.
+        assert len(solves) <= 20
 
     def test_counterexample_witness_always_verifies(self):
         from nil.ideal import contains_power
