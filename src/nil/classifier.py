@@ -427,14 +427,14 @@ def cross_validate(
     disagreement is reported with the graph serialized; oracle resource
     errors skip the class with a logged reason, never a silent pass.
     """
-    total = sum(
-        (len(family.weights) + 1) ** (n * (n - 1) // 2) - 1
-        for n in range(2, family.max_vertices + 1)
-    )
-    if total > family_budget:
-        raise ResourceLimitError(
-            f"family has {total} labeled graphs, over the budget {family_budget}"
-        )
+    total = 0
+    for n in range(2, family.max_vertices + 1):
+        total += (len(family.weights) + 1) ** (n * (n - 1) // 2) - 1
+        if total > family_budget:
+            raise ResourceLimitError(
+                f"family has at least {total} labeled graphs, "
+                f"over the budget {family_budget}"
+            )
 
     disagreements = []
     skipped = []

@@ -241,11 +241,8 @@ def cmd_compact(args):
 
 
 def cmd_enumerate(args):
-    if args.max_vertices > args.safety_cap:
-        raise GraphError(
-            f"max-vertices {args.max_vertices} exceeds the safety cap "
-            f"{args.safety_cap} (raise it with --safety-cap)"
-        )
+    if args.max_vertices < 2:
+        raise GraphError("--max-vertices must be at least 2")
     weights = tuple(args.weights)
     report = cross_validate(
         GraphFamily(args.max_vertices, weights),
@@ -361,7 +358,6 @@ def build_parser():
     p.add_argument("--max-vertices", type=int, default=4)
     p.add_argument("--weights", type=_weights_arg, default=(1, 2))
     p.add_argument("--tmax", type=int, default=3)
-    p.add_argument("--safety-cap", type=int, default=6)
     p.set_defaults(func=cmd_enumerate)
 
     return parser

@@ -28,7 +28,7 @@ from operator import mul
 
 from . import simplex
 from .errors import IdealError, ResourceLimitError
-from .ideal import MonomialIdeal, _check_exponent, contains_power, divides, power
+from .ideal import MonomialIdeal, _check_exponent, contains_power, first_divisor, power
 
 DEFAULT_BOX_BUDGET = 10**7
 
@@ -168,7 +168,8 @@ def _scan_closure(I, k, box_budget, cuts, stop_at_failure):
     found = []
     first_failure = None
     for a in _box_points_by_degree(bounds, min_degree):
-        if any(divides(g, a) for g in found):
+        # found ascends in degree, as the walk does.
+        if first_divisor(found, a) is not None:
             continue
         # A point no found generator divides is in I^k only as a generator.
         if a in power_gens:

@@ -10,7 +10,8 @@ All operations are pure functions over immutable values.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from bisect import bisect_left
+from itertools import combinations_with_replacement, islice
 
 from .errors import GraphError, IdealError
 
@@ -23,6 +24,19 @@ def support(a):
 def divides(g, a):
     """Componentwise g <= a, i.e. x^g divides x^a."""
     return all(gi <= ai for gi, ai in zip(g, a))
+
+
+def first_divisor(kept, a):
+    """The first vector of `kept` that divides a, or None.
+
+    `kept` must ascend in total degree and must not hold a itself.  Two
+    distinct vectors of equal degree never divide one another, so only the
+    vectors of lower degree than a are tried.
+    """
+    for g in islice(kept, bisect_left(kept, sum(a), key=sum)):
+        if divides(g, a):
+            return g
+    return None
 
 
 def exp_add(a, b):
@@ -52,12 +66,12 @@ class MonomialIdeal:
         gens = sorted(set(tuple(g) for g in gens))
         for g in gens:
             _check_exponent(g, n)
-        for i, g in enumerate(gens):
-            for j, h in enumerate(gens):
-                if i != j and divides(h, g):
-                    raise IdealError(
-                        f"generators are not an antichain: {h} divides {g}"
-                    )
+        kept = []
+        for g in sorted(gens, key=sum):
+            h = first_divisor(kept, g)
+            if h is not None:
+                raise IdealError(f"generators are not an antichain: {h} divides {g}")
+            kept.append(g)
         self.n = n
         self.gens = tuple(gens)
 
@@ -87,12 +101,9 @@ def minimalize(exps):
     n = len(exps[0])
     for e in exps:
         _check_exponent(e, n)
-    # Sorting by total degree lets each element be checked against kept
-    # elements of no larger degree only.
-    exps.sort(key=lambda e: (sum(e), e))
     kept = []
-    for e in exps:
-        if not any(divides(g, e) for g in kept):
+    for e in sorted(exps, key=sum):
+        if first_divisor(kept, e) is None:
             kept.append(e)
     return MonomialIdeal(n, kept)
 

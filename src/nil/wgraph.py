@@ -216,15 +216,13 @@ def _odd_cycle_from_conflict(parent, u, v):
     return canonical_cycle(cycle)
 
 
-def chordless_cycles(G, max_len=None, max_count=DEFAULT_CYCLE_CAP):
+def chordless_cycles(G, max_count=DEFAULT_CYCLE_CAP):
     """All chordless (induced) cycles, canonical form, sorted.
 
     Extends induced paths anchored at their minimum vertex; a path closes
     into a cycle only through a vertex adjacent to both ends and nothing
     in between.  Raises ResourceLimitError past `max_count` cycles.
     """
-    if max_len is not None and max_len < 3:
-        return []
     cycles = []
     adj = G.adj
     # touch[y]: how many interior path vertices (all but both ends) are
@@ -242,25 +240,23 @@ def chordless_cycles(G, max_len=None, max_count=DEFAULT_CYCLE_CAP):
             members = {a, b}
             stack = [iter(sorted(adj[b]))]
             while stack:
-                room = max_len is None or len(path) < max_len
                 for y in stack[-1]:
                     if y <= a or y in members or touch[y]:
                         continue
                     if y in anchor_adj:
-                        if room and path[1] < y:
+                        if path[1] < y:
                             cycles.append(tuple(path) + (y,))
                             if len(cycles) > max_count:
                                 raise ResourceLimitError(
                                     f"chordless cycle count exceeds cap {max_count}"
                                 )
                         continue
-                    if room:
-                        for z in adj[path[-1]]:
-                            touch[z] += 1
-                        path.append(y)
-                        members.add(y)
-                        stack.append(iter(sorted(adj[y])))
-                        break
+                    for z in adj[path[-1]]:
+                        touch[z] += 1
+                    path.append(y)
+                    members.add(y)
+                    stack.append(iter(sorted(adj[y])))
+                    break
                 else:
                     stack.pop()
                     if stack:
@@ -328,7 +324,11 @@ def has_even_cycle(G):
     Uses the block criterion: no even cycle iff every biconnected block is
     a single edge or an odd cycle (a 2-connected non-cycle block contains a
     theta subgraph, and one of a theta's three cycles is always even).
+    Such blocks hold at most 3(n - 1)/2 edges in all, so a denser graph has
+    an even cycle without a block pass.
     """
+    if G.n and 2 * len(G.edges) > 3 * (G.n - 1):
+        return True
     for block in biconnected_blocks(G):
         if len(block) == 1:
             continue

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nil.classifier import GraphFamily, cross_validate
 from nil.cli import (
     main,
     parse_graph_file,
@@ -209,6 +211,13 @@ class TestExitCodes:
         monkeypatch.setenv("NIL_BOX_BUDGET", "5")
         assert main(["normality", f4_file, "--box-budget", "1000000"]) == 0
 
+    def test_enumerate_too_few_vertices_exits_two(self, capsys):
+        for max_vertices in ("1", "0", "-3"):
+            assert main(["enumerate", "--max-vertices", max_vertices]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "--max-vertices" in err
+
 
 class TestCommands:
     def test_classify_no_certificates(self, f1_file, capsys):
@@ -302,8 +311,39 @@ class TestCommands:
         assert payload["disagreements"] == []
 
     def test_enumerate_respects_safety_cap(self, capsys):
-        assert main(["enumerate", "--max-vertices", "7"]) == 2
-        assert "safety cap" in capsys.readouterr().err
+        # The family is counted one vertex count at a time, up to the first
+        # over the budget: 140 once overflowed int-to-str conversion, and
+        # 3000 ran for minutes.
+        for max_vertices in ("7", "140", "3000"):
+            assert main(["enumerate", "--max-vertices", max_vertices]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "budget" in err
+
+    def test_enumerate_fails_on_a_disagreement(self, monkeypatch, capsys):
+        # Negative control: flip the verdict of one relabelled graph (the
+        # edge 1-2 on three vertices; its class representative is 2-3).
+        import nil.classifier
+
+        original = nil.classifier.classify
+
+        def flipped(G):
+            report = original(G)
+            if G.n == 3 and G.edges == {(1, 2): 1}:
+                return dataclasses.replace(report, normal=not report.normal)
+            return report
+
+        monkeypatch.setattr(nil.classifier, "classify", flipped)
+        report = cross_validate(GraphFamily(3, (1,)), t_max=1)
+        assert [d["issue"] for d in report.disagreements] == [
+            "verdicts differ from canonical relabeling"
+        ]
+        assert report.disagreements[0]["graph"] == {"vertices": 3, "edges": [[1, 2, 1]]}
+        assert main(["enumerate", "--max-vertices", "3", "--weights", "1", "--tmax", "1"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        [entry] = payload["disagreements"]
+        assert entry["issue"] == "verdicts differ from canonical relabeling"
+        assert entry["labeled"] != entry["canonical"]
 
     def test_weights_argument_validation(self, capsys):
         with pytest.raises(SystemExit):
