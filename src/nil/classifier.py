@@ -266,7 +266,7 @@ def build_certificate(G, config):
     raise CertificateError(f"unknown configuration kind {kind!r}")
 
 
-def verify_certificate(G, cert, box_budget=DEFAULT_BOX_BUDGET):
+def verify_certificate(G, cert):
     """Check the witness against the oracle; returns an updated Certificate.
 
     "verified" means witness in closure(I^t) and witness not in I^t, both
@@ -279,8 +279,8 @@ def verify_certificate(G, cert, box_budget=DEFAULT_BOX_BUDGET):
         )
     I = edge_ideal(G)
     try:
-        in_cl = in_closure_power(I, cert.witness, cert.t)
         in_pw = contains_power(I, cert.witness, cert.t)
+        in_cl = in_closure_power(I, cert.witness, cert.t)
     except ResourceLimitError as exc:
         return replace(cert, verified="unverified", note=str(exc))
     if in_cl and not in_pw:
@@ -489,9 +489,7 @@ def cross_validate(
                     )
                     continue
                 if not report.normal:
-                    cert = verify_certificate(
-                        G, report.primary_certificate, box_budget=box_budget
-                    )
+                    cert = verify_certificate(G, report.primary_certificate)
                     if cert.verified == "unverified":
                         skipped.append(
                             {"graph": graph_as_dict(G), "reason": cert.note}

@@ -186,7 +186,7 @@ def cmd_classify(args):
     if args.certificates and report.primary_certificate is not None:
         cert = report.primary_certificate
         if args.verify:
-            cert = verify_certificate(G, cert, box_budget=args.box_budget)
+            cert = verify_certificate(G, cert)
         payload["certificate"] = _certificate_payload(cert)
         payload["certificate"]["witness_monomial"] = _monomial(cert.witness)
     _emit(payload)
@@ -293,14 +293,16 @@ def _default_box_budget():
     return value
 
 
-def _add_common(sub, with_format=True):
-    if with_format:
-        sub.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default=None,
-            help="graph file format (default: by extension, .json means json)",
-        )
+def _add_format(sub):
+    sub.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default=None,
+        help="graph file format (default: by extension, .json means json)",
+    )
+
+
+def _add_box_budget(sub):
     sub.add_argument(
         "--box-budget",
         type=int,
@@ -322,7 +324,7 @@ def build_parser():
 
     p = sub.add_parser("classify", help="structural verdicts and certificate")
     p.add_argument("file")
-    _add_common(p)
+    _add_format(p)
     p.add_argument(
         "--certificates",
         action=argparse.BooleanOptionalAction,
@@ -339,22 +341,24 @@ def build_parser():
     p = sub.add_parser("closure", help="generators of the closure of I^k vs I^k")
     p.add_argument("file")
     p.add_argument("k", type=int, help="power to close (k >= 1)")
-    _add_common(p)
+    _add_format(p)
+    _add_box_budget(p)
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("normality", help="scan powers 1..t_max for counterexamples")
     p.add_argument("file")
-    _add_common(p)
+    _add_format(p)
+    _add_box_budget(p)
     p.add_argument("--tmax", type=int, default=3, help="largest power to scan (default 3)")
     p.set_defaults(func=cmd_normality)
 
     p = sub.add_parser("compact", help="bouquet classification of a leafless graph")
     p.add_argument("file")
-    _add_common(p, with_format=True)
+    _add_format(p)
     p.set_defaults(func=cmd_compact)
 
     p = sub.add_parser("enumerate", help="cross-validate classifier vs oracle")
-    _add_common(p, with_format=False)
+    _add_box_budget(p)
     p.add_argument("--max-vertices", type=int, default=4)
     p.add_argument("--weights", type=_weights_arg, default=(1, 2))
     p.add_argument("--tmax", type=int, default=3)
@@ -367,10 +371,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "box_budget", None) is None:
-            args.box_budget = _default_box_budget()
-        elif args.box_budget < 1:
-            raise GraphError("--box-budget must be a positive integer")
+        # Only the commands that scan a lattice box take a budget.
+        if hasattr(args, "box_budget"):
+            if args.box_budget is None:
+                args.box_budget = _default_box_budget()
+            elif args.box_budget < 1:
+                raise GraphError("--box-budget must be a positive integer")
         if getattr(args, "k", None) is not None and args.k < 1:
             raise GraphError("k must be a positive integer")
         if getattr(args, "tmax", None) is not None and args.tmax < 1:

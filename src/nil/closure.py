@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm, prod
 from operator import mul
 
 from . import simplex
 from .errors import IdealError, ResourceLimitError
-from .ideal import MonomialIdeal, _check_exponent, contains_power, first_divisor, power
+from .ideal import MonomialIdeal, _check_exponent, contains_power, power
 
 DEFAULT_BOX_BUDGET = 10**7
 
@@ -109,47 +110,24 @@ def _box_bounds(I, k):
     return tuple(k * max(g[i] for g in I.gens) for i in range(I.n))
 
 
-def _box_points_by_degree(bounds, start):
-    """Lattice points of prod([0..b_i]) of total degree >= start, in
-    ascending (total degree, lex) order."""
-    n = len(bounds)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[i]
-    point = [0] * n
-    for degree in range(start, suffix[0] + 1):
-        i, rest = 0, degree
-        while True:
-            for j in range(i, n):  # lex-first split of rest over point[i:]
-                point[j] = max(0, rest - suffix[j + 1])
-                rest -= point[j]
-            yield tuple(point)
-            # The lex successor raises the rightmost coordinate that is below
-            # its bound and has a nonzero tail to take one unit from.
-            for i in range(n - 1, -1, -1):
-                if rest and point[i] < bounds[i]:
-                    break
-                rest += point[i]
-            else:
-                break
-            point[i] += 1
-            i, rest = i + 1, rest - 1
-
-
 def _integer_cut(dual):
     """(Y, D): the dual scaled by the lcm D of its denominators to ints."""
     D = lcm(*(y.denominator for y in dual))
     return tuple(int(y * D) for y in dual), D
 
 
-def _scan_closure(I, k, box_budget, cuts, stop_at_failure):
-    """Enumerate minimal generators of closure(I^k) inside the degree box.
+def _scan_closure(I, k, box_budget, cuts):
+    """Minimal generators of closure(I^k) inside the degree box.
 
-    Returns (generators, first_failure) where first_failure is the first
-    generator (in enumeration order) outside I^k, or None.  Any minimal
-    generator admits coefficients summing to exactly k, so no coordinate
-    can exceed k times the per-coordinate generator maximum: the box is
-    exhaustive.
+    Returns (generators, failures), the failures being the generators
+    outside I^k.  Any minimal generator admits coefficients summing to
+    exactly k, so no coordinate can exceed k times the per-coordinate
+    generator maximum: the box is exhaustive.
+
+    The closure is an up-set, so a closure point a is minimal exactly when
+    no a - e_i is a closure point.  The walk goes in product (lex) order,
+    where a - e_i comes stride_i steps before a, and one byte per box point
+    marks the closure points seen so far.
 
     cuts holds integer cuts (Y, D) from the certified duals of earlier
     solves on I, at any power; the duals of this scan's solves are
@@ -163,17 +141,21 @@ def _scan_closure(I, k, box_budget, cuts, stop_at_failure):
             f"box volume {volume} exceeds budget {box_budget} "
             f"(bounds {list(bounds)})"
         )
+    strides = [prod(b + 1 for b in bounds[i + 1 :]) for i in range(I.n)]
+    marked = bytearray(volume)
     power_gens = set(power(I, k).gens)
     min_degree = k * min(sum(g) for g in I.gens)
-    found = []
-    first_failure = None
-    for a in _box_points_by_degree(bounds, min_degree):
-        # found ascends in degree, as the walk does.
-        if first_divisor(found, a) is not None:
+    found, failures = [], []
+    for index, a in enumerate(product(*(range(b + 1) for b in bounds))):
+        if sum(a) < min_degree:
             continue
-        # A point no found generator divides is in I^k only as a generator.
+        if any(x and marked[index - s] for x, s in zip(a, strides)):
+            marked[index] = 1
+            continue
+        # A minimal closure point is in I^k only as a generator.
         if a in power_gens:
             found.append(a)
+            marked[index] = 1
             continue
         if any(sum(map(mul, Y, a)) < k * D for Y, D in cuts):
             continue
@@ -183,11 +165,9 @@ def _scan_closure(I, k, box_budget, cuts, stop_at_failure):
             cuts.append(cut)
         if result.optimum >= k:
             found.append(a)
-            if first_failure is None:
-                first_failure = a
-                if stop_at_failure:
-                    break
-    return found, first_failure
+            failures.append(a)
+            marked[index] = 1
+    return found, failures
 
 
 def closure_power_generators(I, k, box_budget=DEFAULT_BOX_BUDGET):
@@ -195,7 +175,7 @@ def closure_power_generators(I, k, box_budget=DEFAULT_BOX_BUDGET):
     if not isinstance(k, int) or k < 1:
         raise IdealError(f"power must be a positive integer, got {k!r}")
     _require_nonzero(I)
-    gens, _ = _scan_closure(I, k, box_budget, [], stop_at_failure=False)
+    gens, _ = _scan_closure(I, k, box_budget, [])
     return MonomialIdeal(I.n, gens)
 
 
@@ -209,8 +189,10 @@ def is_power_integrally_closed(I, k, box_budget=DEFAULT_BOX_BUDGET, _cuts=None):
         raise IdealError(f"power must be a positive integer, got {k!r}")
     _require_nonzero(I)
     cuts = [] if _cuts is None else _cuts
-    _, failure = _scan_closure(I, k, box_budget, cuts, stop_at_failure=True)
-    return (failure is None), failure
+    _, failures = _scan_closure(I, k, box_budget, cuts)
+    if not failures:
+        return True, None
+    return False, min(failures, key=lambda a: (sum(a), a))
 
 
 def normality_scan(I, t_max=3, box_budget=DEFAULT_BOX_BUDGET):

@@ -13,7 +13,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import combinations_with_replacement, islice
 
-from .errors import GraphError, IdealError
+from .errors import GraphError, IdealError, ResourceLimitError
+
+# Generator checks one contains_power search may make; each costs
+# O(support size).
+POWER_SEARCH_BUDGET = 10**6
 
 
 def support(a):
@@ -153,7 +157,10 @@ def contains_power(I, a, t):
 
     Searches nonnegative integer multiplicities m_j with sum t and
     sum m_j * g_j <= a, pruning branches whose remaining generators
-    cannot fit t more factors into the residual exponent.
+    cannot fit t more factors into the residual exponent.  The search is
+    depth-first with an explicit stack, so t is not bounded by the
+    recursion limit; it raises ResourceLimitError past
+    POWER_SEARCH_BUDGET generator checks.
     """
     a = tuple(a)
     _check_exponent(a, I.n)
@@ -163,33 +170,53 @@ def contains_power(I, a, t):
         return False
     # Largest generators first tends to fail fast.
     gens = sorted(I.gens, key=lambda g: (-sum(g), g))
+    supports = [[(i, x) for i, x in enumerate(g) if x] for g in gens]
+    residual = list(a)
+    checks = 0
 
-    def max_copies(g, residual):
-        c = None
-        for gi, ri in zip(g, residual):
-            if gi:
-                q = ri // gi
-                if c is None or q < c:
-                    c = q
-                    if c == 0:
-                        return 0
-        return c
-
-    def search(idx, residual, need):
-        if need == 0:
-            return True
-        caps = [max_copies(g, residual) for g in gens[idx:]]
+    def moves(idx, need):
+        """(generator index, multiplicity) steps from a node, in search order."""
+        nonlocal checks
+        checks += len(gens) - idx
+        if checks > POWER_SEARCH_BUDGET:
+            raise ResourceLimitError(
+                f"power membership search exceeds budget {POWER_SEARCH_BUDGET} "
+                f"generator checks (t={t})"
+            )
+        # A zero generator (the unit ideal) fits any number of times.
+        caps = [
+            min((residual[i] // x for i, x in supp), default=need)
+            for supp in supports[idx:]
+        ]
         if sum(caps) < need:
-            return False
-        for off, g in enumerate(gens[idx:]):
-            cap = min(caps[off], need)
-            for m in range(cap, 0, -1):
-                new_res = tuple(ri - m * gi for ri, gi in zip(residual, g))
-                if search(idx + off + 1, new_res, need - m):
-                    return True
-        return False
+            return iter(())
+        return (
+            (idx + off, m)
+            for off, cap in enumerate(caps)
+            for m in range(min(cap, need), 0, -1)
+        )
 
-    return search(0, a, t)
+    need = t
+    taken = []
+    stack = [moves(0, need)]
+    while stack:
+        for j, m in stack[-1]:
+            for i, x in supports[j]:
+                residual[i] -= m * x
+            need -= m
+            if need == 0:
+                return True
+            taken.append((j, m))
+            stack.append(moves(j + 1, need))
+            break
+        else:
+            stack.pop()
+            if taken:
+                j, m = taken.pop()
+                for i, x in supports[j]:
+                    residual[i] += m * x
+                need += m
+    return False
 
 
 def restrict(I, V):

@@ -264,6 +264,19 @@ class TestCertificates:
         assert cert.witness == (1, 1, 1, 1, 1, 1, 1)
         assert verify_certificate(G, cert).verified == "verified"
 
+    def test_exhausted_search_leaves_f5_unverified(self):
+        # Two disjoint 21-cycles: F5 at t = 21, a membership search far
+        # past its budget.
+        L = 21
+        G = build_graph(
+            2 * L, [(c + i, c + i % L + 1, 1) for c in (0, L) for i in range(1, L + 1)]
+        )
+        cert = classify(G).primary_certificate
+        assert (cert.config.kind, cert.t) == ("F5", L)
+        checked = verify_certificate(G, cert)
+        assert checked.verified == "unverified"
+        assert "budget" in checked.note
+
     def test_tampered_witness_fails(self):
         from dataclasses import replace
 

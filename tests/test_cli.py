@@ -207,6 +207,16 @@ class TestExitCodes:
         monkeypatch.setenv("NIL_BOX_BUDGET", "junk")
         assert main(["normality", f4_file]) == 2
 
+    def test_commands_without_a_scan_ignore_the_budget(self, f1_file, capsys, monkeypatch):
+        monkeypatch.setenv("NIL_BOX_BUDGET", "junk")
+        assert main(["classify", f1_file]) == 10
+        assert main(["classify", f1_file, "--verify"]) == 10
+        capsys.readouterr()
+        for command in ("classify", "compact"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, f1_file, "--box-budget", "1"])
+            assert exc.value.code == 2
+
     def test_flag_beats_env(self, f4_file, capsys, monkeypatch):
         monkeypatch.setenv("NIL_BOX_BUDGET", "5")
         assert main(["normality", f4_file, "--box-budget", "1000000"]) == 0

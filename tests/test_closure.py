@@ -234,6 +234,40 @@ class TestIsPowerIntegrallyClosed:
         failures.sort(key=lambda g: (sum(g), g))
         assert witness == failures[0]
 
+        # Against the brute-force closure on random ideals, some of whose
+        # lex-first failure is not the witness.
+        rng = random.Random(113)
+        not_closed = order_matters = 0
+        for _ in range(40):
+            I = random_ideal(rng, n_max=4, max_gens=4, entry_max=3)
+            k = rng.randint(1, 2)
+            power_gens = set(power(I, k).gens)
+            failures = [
+                g for g in brute_closure_gens(I, k).gens if g not in power_gens
+            ]
+            expected = min(failures, key=lambda g: (sum(g), g), default=None)
+            assert is_power_integrally_closed(I, k) == (expected is None, expected)
+            not_closed += expected is not None
+            order_matters += bool(failures) and min(failures) != expected
+        assert not_closed >= 5 and order_matters >= 2
+
+    def test_large_box_makes_no_divisor_sweep(self, monkeypatch):
+        import nil.ideal
+
+        real = nil.ideal.divides
+        calls = []
+
+        def spy(g, a):
+            calls.append(1)
+            return real(g, a)
+
+        monkeypatch.setattr(nil.ideal, "divides", spy)
+        # A path on 8 vertices with weight-4 edges: a box of 5^8 points.
+        I = edge_ideal(build_graph(8, [(i, i + 1, 4) for i in range(1, 8)]))
+        assert len(closure_power_generators(I, 1).gens) == 210
+        assert is_power_integrally_closed(I, 1) == (False, (0, 0, 0, 0, 0, 1, 4, 3))
+        assert len(calls) < 10**5
+
 
 class TestNormalityScan:
     def test_two_disjoint_triangles(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nil.errors import GraphError, IdealError
+from nil.errors import GraphError, IdealError, ResourceLimitError
 from nil.ideal import (
     MonomialIdeal,
     contains,
@@ -216,6 +216,28 @@ class TestContainsPower:
             pt = power(I, t)
             for a in product(range(7), repeat=2):
                 assert contains_power(I, a, t) == contains(pt, a)
+
+    def test_unit_ideal_contains_every_monomial(self):
+        I = MonomialIdeal(2, [(0, 0)])
+        assert contains_power(I, (0, 0), 3)
+        assert contains_power(I, (2, 1), 1)
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        # A perfect matching of 1,100 disjoint edges: one search node per
+        # edge, and about 6 * 10^5 generator checks in all.
+        m = 1100
+        I = edge_ideal(build_graph(2 * m, [(2 * i - 1, 2 * i, 1) for i in range(1, m + 1)]))
+        assert contains_power(I, (1,) * (2 * m), m)
+
+    def test_long_search_hits_the_budget(self):
+        # Two disjoint 1001-cycles and their all-ones vector at t = 1001:
+        # no perfect matching exists, and the search used to run past the
+        # recursion limit.
+        L = 1001
+        edges = [(c + i, c + i % L + 1, 1) for c in (0, L) for i in range(1, L + 1)]
+        I = edge_ideal(build_graph(2 * L, edges))
+        with pytest.raises(ResourceLimitError, match="budget"):
+            contains_power(I, (1,) * (2 * L), L)
 
 
 class TestRestrict:
