@@ -14,6 +14,7 @@ exceeded, 1 enumeration found disagreements.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -313,6 +314,9 @@ def _add_box_budget(sub):
     )
 
 
+# Building the parser costs more than a small request; argparse parsers keep
+# no state between parse_args calls, so one serves every call in a process.
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nil",

@@ -116,7 +116,7 @@ def _integer_cut(dual):
     return tuple(int(y * D) for y in dual), D
 
 
-def _scan_closure(I, k, box_budget, cuts):
+def _scan_closure(I, k, box_budget, cuts, witness_only=False):
     """Minimal generators of closure(I^k) inside the degree box.
 
     Returns (generators, failures), the failures being the generators
@@ -133,6 +133,14 @@ def _scan_closure(I, k, box_budget, cuts):
     solves on I, at any power; the duals of this scan's solves are
     appended.  A point a with <Y, a> < k * D has optimum below k, so it is
     skipped without a solve.
+
+    With witness_only, a failure of degree d lowers a degree ceiling to d,
+    and every later point of degree >= d is skipped, unmarked, before the
+    bitmap lookup: later points of equal degree are lex-larger, and a
+    point whose neighbour a - e_i was skipped has a degree above the
+    ceiling too, so the bitmap stays exact below it.  The last failure is
+    then the first in (degree, lex) order; the generators found are
+    incomplete.
     """
     bounds = _box_bounds(I, k)
     volume = prod(b + 1 for b in bounds)
@@ -145,9 +153,11 @@ def _scan_closure(I, k, box_budget, cuts):
     marked = bytearray(volume)
     power_gens = set(power(I, k).gens)
     min_degree = k * min(sum(g) for g in I.gens)
+    ceiling = sum(bounds) + 1
     found, failures = [], []
     for index, a in enumerate(product(*(range(b + 1) for b in bounds))):
-        if sum(a) < min_degree:
+        degree = sum(a)
+        if degree < min_degree or degree >= ceiling:
             continue
         if any(x and marked[index - s] for x, s in zip(a, strides)):
             marked[index] = 1
@@ -167,6 +177,8 @@ def _scan_closure(I, k, box_budget, cuts):
             found.append(a)
             failures.append(a)
             marked[index] = 1
+            if witness_only:
+                ceiling = degree
     return found, failures
 
 
@@ -183,16 +195,18 @@ def is_power_integrally_closed(I, k, box_budget=DEFAULT_BOX_BUDGET, _cuts=None):
     """(True, None) iff I^k equals its integral closure; else (False, witness).
 
     The witness is the first minimal generator of the closure, in
-    ascending (degree, lex) order, that does not lie in I^k.
+    ascending (degree, lex) order, that does not lie in I^k.  The scan
+    skips every point at or above the degree of the best failure found so
+    far, so it solves no LP for a point that cannot beat that failure.
     """
     if not isinstance(k, int) or k < 1:
         raise IdealError(f"power must be a positive integer, got {k!r}")
     _require_nonzero(I)
     cuts = [] if _cuts is None else _cuts
-    _, failures = _scan_closure(I, k, box_budget, cuts)
+    _, failures = _scan_closure(I, k, box_budget, cuts, witness_only=True)
     if not failures:
         return True, None
-    return False, min(failures, key=lambda a: (sum(a), a))
+    return False, failures[-1]
 
 
 def normality_scan(I, t_max=3, box_budget=DEFAULT_BOX_BUDGET):

@@ -410,6 +410,23 @@ class TestCrossValidate:
         # 1,659 solves with one LP per box point; 46 with the dual cuts.
         assert len(solves) <= 200
 
+    def test_witness_scans_stop_early(self, monkeypatch):
+        import nil.closure
+
+        original = nil.closure.lp_max_weight
+        solves = []
+
+        def spy(I, a):
+            solves.append(a)
+            return original(I, a)
+
+        monkeypatch.setattr(nil.closure, "lp_max_weight", spy)
+        report = cross_validate(GraphFamily(4, (1, 2, 3)), t_max=2)
+        assert report.agreed and report.not_closed_classes == 186
+        # 2,321 solves when a not-closed scan walks its whole box; 1,559
+        # when it stops at the degree of the best failure found.
+        assert len(solves) <= 1600
+
     def test_single_edge_family(self):
         report = cross_validate(GraphFamily(2, (1,)), t_max=1)
         assert report.agreed

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nil.classifier import GraphFamily, cross_validate
 from nil.cli import (
+    build_parser,
     main,
     parse_graph_file,
     parse_graph_json,
@@ -375,6 +376,31 @@ class TestDeterminism:
         main(["enumerate", "--max-vertices", "3", "--weights", "1,2"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_one_parser_serves_every_request(self, f1_file, capsys):
+        requests = [
+            ["closure", f1_file],  # no k: a usage error
+            ["classify", f1_file, "--verify"],
+            ["closure", f1_file, "2"],
+            ["normality", f1_file],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr()
+
+        build_parser.cache_clear()
+        shared = [run(argv) for argv in requests]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in requests:
+            build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [code for code, _ in shared] == [2, 10, 0, 0]
 
 
 @st.composite

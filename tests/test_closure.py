@@ -24,7 +24,7 @@ from nil.ideal import (
 )
 from nil.wgraph import build_graph
 
-from _oracles import fm_max_total, random_exponent, random_ideal
+from _oracles import fm_max_total, random_exponent, random_graph_with_edge, random_ideal
 
 F1_IDEAL = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
 F4_IDEAL = MonomialIdeal(5, [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (1, 0, 1, 0, 0), (0, 0, 0, 2, 2)])
@@ -267,6 +267,44 @@ class TestIsPowerIntegrallyClosed:
         assert len(closure_power_generators(I, 1).gens) == 210
         assert is_power_integrally_closed(I, 1) == (False, (0, 0, 0, 0, 0, 1, 4, 3))
         assert len(calls) < 10**5
+
+    def test_witness_scan_stops_at_the_best_failure_degree(self, monkeypatch):
+        import nil.closure
+
+        original = nil.closure.lp_max_weight
+        solves = []
+
+        def spy(I, a):
+            solves.append(a)
+            return original(I, a)
+
+        monkeypatch.setattr(nil.closure, "lp_max_weight", spy)
+        # The 5^8 box of the weight-4 path on 8 vertices: 211 solves when
+        # the scan walks the whole box.
+        I = edge_ideal(build_graph(8, [(i, i + 1, 4) for i in range(1, 8)]))
+        assert is_power_integrally_closed(I, 1) == (False, (0, 0, 0, 0, 0, 1, 4, 3))
+        assert len(solves) <= 5
+
+    def test_witness_matches_the_full_walk(self):
+        # The witness scan skips points at or above the best failure's
+        # degree; the full walk skips none.  Ties at the witness's degree
+        # and lex-first failures of higher degree both occur below.
+        rng = random.Random(5)
+        not_closed = ties = order_matters = 0
+        for _ in range(200):
+            I = edge_ideal(random_graph_with_edge(rng, n_max=5, weights=(1, 2, 3)))
+            k = rng.randint(1, 2)
+            power_gens = set(power(I, k).gens)
+            failures = [
+                g for g in closure_power_generators(I, k).gens if g not in power_gens
+            ]
+            expected = min(failures, key=lambda g: (sum(g), g), default=None)
+            assert is_power_integrally_closed(I, k) == (expected is None, expected)
+            if expected is not None:
+                not_closed += 1
+                ties += sum(sum(g) == sum(expected) for g in failures) > 1
+                order_matters += min(failures) != expected
+        assert not_closed >= 50 and ties >= 20 and order_matters >= 20
 
 
 class TestNormalityScan:
