@@ -15,8 +15,10 @@ the closure of I^k.  The box scan keeps its certified duals as integer
 cuts, shared across power levels, and solves an LP only at points that no
 cut rejects.
 
-No floating point appears anywhere in a decision path: all arithmetic is
-over Fractions and arbitrary-precision ints.
+No floating point appears anywhere in a decision path: the simplex and
+the certificate checks run over arbitrary-precision ints, the checks on
+each vector scaled by the lcm of its denominators, and the results are
+Fractions.
 """
 
 from __future__ import annotations
@@ -77,23 +79,27 @@ def lp_max_weight(I, a):
     The feasible region is bounded since every generator is nonzero with
     nonnegative entries.  The returned coefficients are verified against
     the constraints by exact re-substitution, and the optimum is proved by
-    the dual solution.
+    the dual solution.  Both checks run in ints: the coefficients and the
+    dual are each scaled by the lcm of their denominators.
     """
     a = tuple(a)
     _require_nonzero(I)
     _check_exponent(a, I.n)
 
     optimum, coeffs, dual = simplex.maximize_total(I.gens, a)
+    num, den = optimum.numerator, optimum.denominator
 
-    if min(coeffs) < 0:
+    C, Dc = _integer_cut(coeffs)
+    if min(C) < 0:
         raise RuntimeError("LP returned a negative coefficient")
-    combo = _weighted_sum(coeffs, I.gens)
-    if sum(c for c in coeffs if c) != optimum or any(x > y for x, y in zip(combo, a)):
+    combo = _weighted_sum(C, I.gens)
+    if sum(C) * den != num * Dc or any(x > Dc * y for x, y in zip(combo, a)):
         raise RuntimeError("LP certificate failed exact re-substitution")
+    Y, Dy = _integer_cut(dual)
     if (
-        min(dual) < 0
-        or any(_dot(dual, g) < 1 for g in I.gens)
-        or _dot(dual, a) != optimum
+        min(Y) < 0
+        or any(sum(map(mul, Y, g)) < Dy for g in I.gens)
+        or sum(map(mul, Y, a)) * den != num * Dy
     ):
         raise RuntimeError("LP dual certificate failed exact verification")
     return LPResult(optimum=optimum, coeffs=tuple(coeffs), dual=tuple(dual))
@@ -110,10 +116,10 @@ def _box_bounds(I, k):
     return tuple(k * max(g[i] for g in I.gens) for i in range(I.n))
 
 
-def _integer_cut(dual):
-    """(Y, D): the dual scaled by the lcm D of its denominators to ints."""
-    D = lcm(*(y.denominator for y in dual))
-    return tuple(int(y * D) for y in dual), D
+def _integer_cut(values):
+    """(Y, D): the Fractions scaled by the lcm D of their denominators to ints."""
+    D = lcm(*(y.denominator for y in values))
+    return tuple(y.numerator * (D // y.denominator) for y in values), D
 
 
 def _scan_closure(I, k, box_budget, cuts, witness_only=False):
@@ -140,7 +146,8 @@ def _scan_closure(I, k, box_budget, cuts, witness_only=False):
     point whose neighbour a - e_i was skipped has a degree above the
     ceiling too, so the bitmap stays exact below it.  The last failure is
     then the first in (degree, lex) order; the generators found are
-    incomplete.
+    incomplete.  A failure at the minimum degree k * min(deg g) ends the
+    walk, since no later point can lie below it.
     """
     bounds = _box_bounds(I, k)
     volume = prod(b + 1 for b in bounds)
@@ -179,6 +186,8 @@ def _scan_closure(I, k, box_budget, cuts, witness_only=False):
             marked[index] = 1
             if witness_only:
                 ceiling = degree
+                if ceiling <= min_degree:
+                    break
     return found, failures
 
 
@@ -302,13 +311,9 @@ def _cycle_generators(m, first_weight):
     return gens
 
 
-def _dot(y, a):
-    return sum(yi * ai for yi, ai in zip(y, a) if yi and ai)
-
-
 def _weighted_sum(coeffs, gens):
     n = len(gens[0])
-    out = [Fraction(0)] * n
+    out = [0] * n
     for c, g in zip(coeffs, gens):
         if c:
             for i, gi in enumerate(g):

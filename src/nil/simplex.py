@@ -2,12 +2,16 @@
 
 Solves   maximize  sum(c)   subject to   sum_j c_j * col_j <= rhs,  c >= 0
 
-in exact arithmetic: the tableau holds the caller's ints until a pivot
-divides, and exact Fractions after that, never floats.  The data is
-integral and nonnegative with every column nonzero, so the origin is
-feasible and the optimum is finite; no phase-1 is needed.  Bland's
-smallest-index rule on both the entering and leaving choices prevents
-cycling, and a pivot cap fails loudly rather than looping.
+in exact arithmetic without floats or Fractions in the pivot loop: each
+tableau row, the objective row included, is a list of ints over its own
+positive denominator (integer-preserving pivoting, as in Edmonds 1967 and
+Bareiss 1968), reduced by the gcd of its entries after every update, so it
+holds the same rationals a Fraction tableau would.  Fractions are built
+only for the returned values.  The data is integral and nonnegative with
+every column nonzero, so the origin is feasible and the optimum is finite;
+no phase-1 is needed.  Bland's smallest-index rule on both the entering
+and leaving choices prevents cycling, and a pivot cap fails loudly rather
+than looping.
 
 At optimality the objective row holds, under the slack columns, an
 optimal solution y of the dual LP
@@ -23,6 +27,7 @@ it, and its dual entry is 0.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ResourceLimitError
 
@@ -48,19 +53,20 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
 
     live = [i for i in range(m) if any(col[i] for col in columns)]
     m = len(live)
-    width = s + m + 1
     rows = []
     for r, i in enumerate(live):
         row = [col[i] for col in columns] + [0] * m + [rhs[i]]
         row[s + r] = 1
         rows.append(row)
     # Row m is the objective: reduced costs, then the optimum so far.
-    obj = [-1] * s + [0] * (m + 1)
-    rows.append(obj)
+    rows.append([-1] * s + [0] * (m + 1))
+    # Row i stands for rows[i] / dens[i].
+    dens = [1] * (m + 1)
     basis = list(range(s, s + m))
 
     pivots = 0
     while True:
+        obj = rows[m]
         entering = None
         for j in range(s + m):
             if obj[j] < 0:
@@ -69,19 +75,19 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
         if entering is None:
             break
 
+        # A row's ratio rhs / coef does not depend on its denominator, so
+        # two ratios compare by cross-multiplying numerators.
         leaving = None
-        best_ratio = None
         for i in range(m):
             coef = rows[i][entering]
             if coef > 0:
-                ratio = Fraction(rows[i][-1], coef)
+                b = rows[i][-1]
                 if (
                     leaving is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                    or b * best_coef < best_b * coef
+                    or (b * best_coef == best_b * coef and basis[i] < basis[leaving])
                 ):
-                    leaving = i
-                    best_ratio = ratio
+                    leaving, best_b, best_coef = i, b, coef
         if leaving is None:
             raise ValueError("LP is unbounded; input violates boundedness assumptions")
 
@@ -89,28 +95,42 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
         if pivots > pivot_cap:
             raise ResourceLimitError(f"simplex pivot count exceeds cap {pivot_cap}")
 
+        # Dividing the pivot row by its entry p / den keeps its numerators
+        # over the new denominator p.
         prow = rows[leaving]
         p = prow[entering]
-        if p != 1:
-            for j in range(width):
-                if prow[j]:
-                    prow[j] = Fraction(prow[j], p)
-        for row in rows:
-            if row is prow:
+        g = gcd(p, *prow)
+        if g != 1:
+            prow = rows[leaving] = [x // g for x in prow]
+            p //= g
+        dens[leaving] = p
+        if p == 1:
+            support = [(j, x) for j, x in enumerate(prow) if x]
+        for r, row in enumerate(rows):
+            f = row[entering]
+            if not f or r == leaving:
                 continue
-            factor = row[entering]
-            if factor:
-                for j in range(width):
-                    pj = prow[j]
-                    if pj:
-                        row[j] -= factor * pj
+            # row / d - (f / d) * prow / p == (p * row - f * prow) / (d * p)
+            if p == 1:
+                for j, x in support:
+                    row[j] -= f * x
+            else:
+                row = rows[r] = [p * x - f * y for x, y in zip(row, prow)]
+            d = dens[r] * p
+            if d != 1:
+                g = gcd(d, *row)
+                if g != 1:
+                    rows[r] = [x // g for x in row]
+                    d //= g
+            dens[r] = d
         basis[leaving] = entering
 
+    obj, den = rows[m], dens[m]
     coeffs = [Fraction(0)] * s
     for i, b in enumerate(basis):
         if b < s:
-            coeffs[b] = Fraction(rows[i][-1])
+            coeffs[b] = Fraction(rows[i][-1], dens[i])
     dual = [Fraction(0)] * len(rhs)
     for r, i in enumerate(live):
-        dual[i] = Fraction(obj[s + r])
-    return Fraction(obj[-1]), coeffs, dual
+        dual[i] = Fraction(obj[s + r], den)
+    return Fraction(obj[-1], den), coeffs, dual

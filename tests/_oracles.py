@@ -3,7 +3,9 @@
 Everything here is deliberately written against the definitions, not the
 library's algorithms: Fourier-Motzkin instead of simplex, subset scans
 instead of path extension, component decompositions instead of finder
-logic.  Slow is fine; these run on tiny inputs.
+logic.  Slow is fine; these run on tiny inputs.  The one exception is
+fraction_simplex, the library's pivot rules over Fractions, which pins the
+integer-preserving simplex to the same pivots and the same answers.
 """
 
 from fractions import Fraction
@@ -72,6 +74,79 @@ def fm_max_total(columns, rhs):
     if best is None:
         raise AssertionError("FM oracle found the LP unbounded")
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference simplex over Fractions
+# ---------------------------------------------------------------------------
+
+def fraction_simplex(columns, rhs):
+    """The packing LP of nil.simplex.maximize_total, pivoted over Fractions.
+
+    The same tableau, Bland's rule and zero-row handling as the library, with
+    every division done by Fraction.  Returns (optimum, coeffs, dual, pivots,
+    ties), ties counting the ratio tests in which two rows tied at the best
+    ratio so far.
+    """
+    s = len(columns)
+    live = [i for i in range(len(rhs)) if any(col[i] for col in columns)]
+    m = len(live)
+    width = s + m + 1
+    rows = []
+    for r, i in enumerate(live):
+        row = [col[i] for col in columns] + [0] * m + [rhs[i]]
+        row[s + r] = 1
+        rows.append(row)
+    obj = [-1] * s + [0] * (m + 1)
+    rows.append(obj)
+    basis = list(range(s, s + m))
+
+    pivots = ties = 0
+    while True:
+        entering = next((j for j in range(s + m) if obj[j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        best_ratio = None
+        for i in range(m):
+            coef = rows[i][entering]
+            if coef > 0:
+                ratio = Fraction(rows[i][-1], coef)
+                if leaving is not None and ratio == best_ratio:
+                    ties += 1
+                if (
+                    leaving is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    leaving = i
+                    best_ratio = ratio
+        pivots += 1
+        prow = rows[leaving]
+        p = prow[entering]
+        if p != 1:
+            for j in range(width):
+                if prow[j]:
+                    prow[j] = Fraction(prow[j], p)
+        for row in rows:
+            if row is prow:
+                continue
+            factor = row[entering]
+            if factor:
+                for j in range(width):
+                    pj = prow[j]
+                    if pj:
+                        row[j] -= factor * pj
+        basis[leaving] = entering
+
+    coeffs = [Fraction(0)] * s
+    for i, b in enumerate(basis):
+        if b < s:
+            coeffs[b] = Fraction(rows[i][-1])
+    dual = [Fraction(0)] * len(rhs)
+    for r, i in enumerate(live):
+        dual[i] = Fraction(obj[s + r])
+    return Fraction(obj[-1]), coeffs, dual, pivots, ties
 
 
 # ---------------------------------------------------------------------------

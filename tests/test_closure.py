@@ -103,6 +103,14 @@ class TestLpMaxWeight:
             assert sum(y * x for y, x in zip(result.dual, g)) >= 1
         assert sum(result.dual) == result.optimum
 
+    def test_two_disjoint_long_odd_cycles(self):
+        # A sparse LP with 202 generators and 202 rows: each 101-cycle
+        # packs 101/2 edges into the all-ones vector.
+        edges = [(i, i % 101 + 1, 1) for i in range(1, 102)]
+        edges += [(101 + i, 101 + i % 101 + 1, 1) for i in range(1, 102)]
+        I = edge_ideal(build_graph(202, edges))
+        assert lp_max_weight(I, (1,) * 202).optimum == 101
+
     def test_suboptimal_simplex_is_rejected(self, monkeypatch):
         import nil.simplex
 
@@ -284,6 +292,23 @@ class TestIsPowerIntegrallyClosed:
         I = edge_ideal(build_graph(8, [(i, i + 1, 4) for i in range(1, 8)]))
         assert is_power_integrally_closed(I, 1) == (False, (0, 0, 0, 0, 0, 1, 4, 3))
         assert len(solves) <= 5
+
+    def test_witness_at_the_minimum_degree_ends_the_walk(self, monkeypatch):
+        import nil.closure
+
+        drawn = []
+
+        def counting_product(*ranges):
+            for point in product(*ranges):
+                drawn.append(1)
+                yield point
+
+        monkeypatch.setattr(nil.closure, "product", counting_product)
+        # The 5^9 box of the weight-4 path on 9 vertices: its witness has
+        # the minimum degree 8, so no later point can replace it.
+        I = edge_ideal(build_graph(9, [(i, i + 1, 4) for i in range(1, 9)]))
+        assert is_power_integrally_closed(I, 1) == (False, (0, 0, 0, 0, 0, 0, 1, 4, 3))
+        assert len(drawn) < 10**4
 
     def test_witness_matches_the_full_walk(self):
         # The witness scan skips points at or above the best failure's

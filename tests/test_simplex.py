@@ -6,7 +6,7 @@ import pytest
 from nil.errors import ResourceLimitError
 from nil.simplex import maximize_total
 
-from _oracles import fm_max_total
+from _oracles import fm_max_total, fraction_simplex
 
 
 def check_solution(columns, rhs, optimum, coeffs):
@@ -132,3 +132,44 @@ def test_larger_random_instances_self_consistent():
                 Fraction(rhs[i], col[i]) for i in range(m) if col[i]
             )
             assert opt >= bound
+
+
+def random_packing_lp(rng):
+    """A random instance with m, s <= 6, entries 0..4 and rhs 0..8.
+
+    Half the instances repeat a row, scaled with its rhs, so that ratio
+    tests tie; a third zero one rhs entry, for degenerate pivots.
+    """
+    m = rng.randint(1, 6)
+    s = rng.randint(1, 6)
+    while True:
+        rows = [[rng.randint(0, 4) for _ in range(s)] for _ in range(m)]
+        rhs = [rng.randint(0, 8) for _ in range(m)]
+        if m > 1 and rng.random() < 0.5:
+            src, dst = rng.sample(range(m), 2)
+            scale = rng.randint(1, 2)
+            rows[dst] = [scale * x for x in rows[src]]
+            rhs[dst] = scale * rhs[src]
+        if rng.random() < 1 / 3:
+            rhs[rng.randrange(m)] = 0
+        columns = list(zip(*rows))
+        if all(any(col) for col in columns):
+            return columns, tuple(rhs)
+
+
+def test_same_pivots_and_answers_as_the_fraction_simplex():
+    rng = random.Random(47)
+    tied = degenerate = 0
+    for _ in range(600):
+        columns, rhs = random_packing_lp(rng)
+        opt, coeffs, dual, pivots, ties = fraction_simplex(columns, rhs)
+        result = maximize_total(columns, rhs, pivot_cap=pivots)
+        assert result == (opt, coeffs, dual)
+        assert all(type(x) is Fraction for x in [result[0], *result[1], *result[2]])
+        if pivots:
+            with pytest.raises(ResourceLimitError):
+                maximize_total(columns, rhs, pivot_cap=pivots - 1)
+        tied += ties > 0
+        degenerate += 0 in rhs and pivots > 0
+    assert tied >= 100
+    assert degenerate >= 100
