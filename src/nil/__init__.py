@@ -21,6 +21,7 @@ from .classifier import (
     verify_certificate,
 )
 from .closure import (
+    ClosureOracle,
     LPResult,
     NormalityVerdict,
     closure_power_generators,
@@ -66,6 +67,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "ClassificationReport",
+    "ClosureOracle",
     "CompactClass",
     "ForbiddenConfig",
     "GraphError",

@@ -30,11 +30,12 @@ from .classifier import (
 )
 from .closure import (
     DEFAULT_BOX_BUDGET,
+    ClosureOracle,
     closure_power_generators,
     normality_scan,
 )
 from .errors import GraphError, GraphFileError, IdealError, ResourceLimitError
-from .ideal import edge_ideal, power
+from .ideal import edge_ideal
 from .wgraph import build_graph, classify_compact
 
 ENV_BOX_BUDGET = "NIL_BOX_BUDGET"
@@ -198,9 +199,9 @@ def cmd_classify(args):
 
 def cmd_closure(args):
     G = parse_graph_file(args.file, args.format)
-    I = edge_ideal(G)
-    closure = closure_power_generators(I, args.k, box_budget=args.box_budget)
-    pk = power(I, args.k)
+    oracle = ClosureOracle(edge_ideal(G))
+    closure = closure_power_generators(oracle, args.k, box_budget=args.box_budget)
+    pk = oracle.power(args.k)
     # A minimal closure generator lies in I^k only as a generator of I^k.
     power_gens = set(pk.gens)
     difference = [g for g in closure.gens if g not in power_gens]

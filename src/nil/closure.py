@@ -11,9 +11,10 @@ to be feasible (y >= 0 and <y, g_j> >= 1 for every generator) with
 <y, a> equal to the optimum, which by strong duality proves that no larger
 sum exists.  A feasible dual does not depend on a, so by weak duality it
 bounds the optimum at every point: <y, a> < k proves that x^a is not in
-the closure of I^k.  The box scan keeps its certified duals as integer
-cuts, shared across power levels, and solves an LP only at points that no
-cut rejects.
+the closure of I^k.  A ClosureOracle holds what the box scans of one
+ideal share: the certified duals of its solves, kept as integer cuts that
+are valid at every power, and each power I^k, built once.  A scan solves
+an LP only at points that no cut rejects.
 
 No floating point appears anywhere in a decision path: the simplex and
 the certificate checks run over arbitrary-precision ints, the checks on
@@ -31,7 +32,7 @@ from operator import mul
 
 from . import simplex
 from .errors import IdealError, ResourceLimitError
-from .ideal import MonomialIdeal, _check_exponent, contains_power, power
+from .ideal import MonomialIdeal, _check_exponent, _check_positive, contains_power, power
 
 DEFAULT_BOX_BUDGET = 10**7
 
@@ -107,8 +108,7 @@ def lp_max_weight(I, a):
 
 def in_closure_power(I, a, k):
     """True iff x^a lies in the integral closure of I^k."""
-    if not isinstance(k, int) or k < 1:
-        raise IdealError(f"power must be a positive integer, got {k!r}")
+    _check_positive(k)
     return lp_max_weight(I, a).optimum >= k
 
 
@@ -122,97 +122,126 @@ def _integer_cut(values):
     return tuple(y.numerator * (D // y.denominator) for y in values), D
 
 
-def _scan_closure(I, k, box_budget, cuts, witness_only=False):
-    """Minimal generators of closure(I^k) inside the degree box.
+class ClosureOracle:
+    """The closure scans of one nonzero ideal, and what they share.
 
-    Returns (generators, failures), the failures being the generators
-    outside I^k.  Any minimal generator admits coefficients summing to
-    exactly k, so no coordinate can exceed k times the per-coordinate
-    generator maximum: the box is exhaustive.
-
-    The closure is an up-set, so a closure point a is minimal exactly when
-    no a - e_i is a closure point.  The walk goes in product (lex) order,
-    where a - e_i comes stride_i steps before a, and one byte per box point
-    marks the closure points seen so far.
-
-    cuts holds integer cuts (Y, D) from the certified duals of earlier
-    solves on I, at any power; the duals of this scan's solves are
-    appended.  A point a with <Y, a> < k * D has optimum below k, so it is
-    skipped without a solve.
-
-    With witness_only, a failure of degree d lowers a degree ceiling to d,
-    and every later point of degree >= d is skipped, unmarked, before the
-    bitmap lookup: later points of equal degree are lex-larger, and a
-    point whose neighbour a - e_i was skipped has a degree above the
-    ceiling too, so the bitmap stays exact below it.  The last failure is
-    then the first in (degree, lex) order; the generators found are
-    incomplete.  A failure at the minimum degree k * min(deg g) ends the
-    walk, since no later point can lie below it.
+    The oracle owns the integer cuts (Y, D) of every certified dual solved
+    on the ideal; a feasible dual does not depend on the power, so each cut
+    is valid at every k.  It also owns each power I^k, built once.  The
+    scan entry points below take an oracle in place of an ideal, so a
+    caller that scans several powers of one ideal, or needs I^k beside its
+    closure, builds each thing once.
     """
-    bounds = _box_bounds(I, k)
-    volume = prod(b + 1 for b in bounds)
-    if volume > box_budget:
-        raise ResourceLimitError(
-            f"box volume {volume} exceeds budget {box_budget} "
-            f"(bounds {list(bounds)})"
-        )
-    strides = [prod(b + 1 for b in bounds[i + 1 :]) for i in range(I.n)]
-    marked = bytearray(volume)
-    power_gens = set(power(I, k).gens)
-    min_degree = k * min(sum(g) for g in I.gens)
-    ceiling = sum(bounds) + 1
-    found, failures = [], []
-    for index, a in enumerate(product(*(range(b + 1) for b in bounds))):
-        degree = sum(a)
-        if degree < min_degree or degree >= ceiling:
-            continue
-        if any(x and marked[index - s] for x, s in zip(a, strides)):
-            marked[index] = 1
-            continue
-        # A minimal closure point is in I^k only as a generator.
-        if a in power_gens:
-            found.append(a)
-            marked[index] = 1
-            continue
-        if any(sum(map(mul, Y, a)) < k * D for Y, D in cuts):
-            continue
-        result = lp_max_weight(I, a)
-        cut = _integer_cut(result.dual)
-        if cut not in cuts:
-            cuts.append(cut)
-        if result.optimum >= k:
-            found.append(a)
-            failures.append(a)
-            marked[index] = 1
-            if witness_only:
-                ceiling = degree
-                if ceiling <= min_degree:
-                    break
-    return found, failures
+
+    __slots__ = ("ideal", "cuts", "_powers")
+
+    def __init__(self, I):
+        _require_nonzero(I)
+        self.ideal = I
+        self.cuts = []
+        self._powers = {}
+
+    def power(self, k):
+        """I^k, built on the first call for k."""
+        if k not in self._powers:
+            self._powers[k] = power(self.ideal, k)
+        return self._powers[k]
+
+    def scan(self, k, box_budget, witness_only=False):
+        """Minimal generators of closure(I^k) inside the degree box.
+
+        Returns (generators, failures), the failures being the generators
+        outside I^k.  Any minimal generator admits coefficients summing to
+        exactly k, so no coordinate can exceed k times the per-coordinate
+        generator maximum: the box is exhaustive.  A box over box_budget
+        points is refused before I^k is built.
+
+        The closure is an up-set, so a closure point a is minimal exactly
+        when no a - e_i is a closure point.  The walk goes in product (lex)
+        order, where a - e_i comes stride_i steps before a, and one byte per
+        box point marks the closure points seen so far.
+
+        A point a with <Y, a> < k * D for some cut has optimum below k, so
+        it is skipped without a solve; the duals of this scan's solves join
+        the cuts.
+
+        With witness_only, a failure of degree d lowers a degree ceiling to
+        d, and every later point of degree >= d is skipped, unmarked, before
+        the bitmap lookup: later points of equal degree are lex-larger, and
+        a point whose neighbour a - e_i was skipped has a degree above the
+        ceiling too, so the bitmap stays exact below it.  The last failure
+        is then the first in (degree, lex) order; the generators found are
+        incomplete.  A failure at the minimum degree k * min(deg g) ends the
+        walk, since no later point can lie below it.
+        """
+        _check_positive(k)
+        I, cuts = self.ideal, self.cuts
+        bounds = _box_bounds(I, k)
+        volume = prod(b + 1 for b in bounds)
+        if volume > box_budget:
+            raise ResourceLimitError(
+                f"power t={k}: box volume {volume} exceeds budget {box_budget} "
+                f"(bounds {list(bounds)})"
+            )
+        strides = [prod(b + 1 for b in bounds[i + 1 :]) for i in range(I.n)]
+        marked = bytearray(volume)
+        power_gens = set(self.power(k).gens)
+        min_degree = k * min(sum(g) for g in I.gens)
+        ceiling = sum(bounds) + 1
+        found, failures = [], []
+        for index, a in enumerate(product(*(range(b + 1) for b in bounds))):
+            degree = sum(a)
+            if degree < min_degree or degree >= ceiling:
+                continue
+            if any(x and marked[index - s] for x, s in zip(a, strides)):
+                marked[index] = 1
+                continue
+            # A minimal closure point is in I^k only as a generator.
+            if a in power_gens:
+                found.append(a)
+                marked[index] = 1
+                continue
+            if any(sum(map(mul, Y, a)) < k * D for Y, D in cuts):
+                continue
+            result = lp_max_weight(I, a)
+            cut = _integer_cut(result.dual)
+            if cut not in cuts:
+                cuts.append(cut)
+            if result.optimum >= k:
+                found.append(a)
+                failures.append(a)
+                marked[index] = 1
+                if witness_only:
+                    ceiling = degree
+                    if ceiling <= min_degree:
+                        break
+        return found, failures
+
+
+def _as_oracle(I):
+    return I if isinstance(I, ClosureOracle) else ClosureOracle(I)
 
 
 def closure_power_generators(I, k, box_budget=DEFAULT_BOX_BUDGET):
-    """Minimal generators of the integral closure of I^k."""
-    if not isinstance(k, int) or k < 1:
-        raise IdealError(f"power must be a positive integer, got {k!r}")
-    _require_nonzero(I)
-    gens, _ = _scan_closure(I, k, box_budget, [])
-    return MonomialIdeal(I.n, gens)
+    """Minimal generators of the integral closure of I^k.
+
+    I is an ideal or a ClosureOracle; an ideal gets a fresh oracle.
+    """
+    oracle = _as_oracle(I)
+    gens, _ = oracle.scan(k, box_budget)
+    return MonomialIdeal(oracle.ideal.n, gens)
 
 
-def is_power_integrally_closed(I, k, box_budget=DEFAULT_BOX_BUDGET, _cuts=None):
+def is_power_integrally_closed(I, k, box_budget=DEFAULT_BOX_BUDGET):
     """(True, None) iff I^k equals its integral closure; else (False, witness).
 
-    The witness is the first minimal generator of the closure, in
-    ascending (degree, lex) order, that does not lie in I^k.  The scan
-    skips every point at or above the degree of the best failure found so
-    far, so it solves no LP for a point that cannot beat that failure.
+    I is an ideal or a ClosureOracle; an ideal gets a fresh oracle.  The
+    witness is the first minimal generator of the closure, in ascending
+    (degree, lex) order, that does not lie in I^k.  The scan skips every
+    point at or above the degree of the best failure found so far, so it
+    solves no LP for a point that cannot beat that failure.
     """
-    if not isinstance(k, int) or k < 1:
-        raise IdealError(f"power must be a positive integer, got {k!r}")
-    _require_nonzero(I)
-    cuts = [] if _cuts is None else _cuts
-    _, failures = _scan_closure(I, k, box_budget, cuts, witness_only=True)
+    _, failures = _as_oracle(I).scan(k, box_budget, witness_only=True)
     if not failures:
         return True, None
     return False, failures[-1]
@@ -223,20 +252,13 @@ def normality_scan(I, t_max=3, box_budget=DEFAULT_BOX_BUDGET):
 
     Returns the first counterexample with its witness, else a
     "normal_up_to" verdict.  A normal_up_to verdict is explicitly not a
-    proof of normality for larger t.  The dual cuts are shared across the
-    power levels of one scan.
+    proof of normality for larger t.  One ClosureOracle serves every power
+    level, so the dual cuts are shared across them.
     """
-    if not isinstance(t_max, int) or t_max < 1:
-        raise IdealError(f"t_max must be a positive integer, got {t_max!r}")
-    _require_nonzero(I)
-    cuts = []
+    _check_positive(t_max, "t_max")
+    oracle = ClosureOracle(I)
     for t in range(1, t_max + 1):
-        try:
-            closed, witness = is_power_integrally_closed(
-                I, t, box_budget=box_budget, _cuts=cuts
-            )
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(f"power t={t}: {exc}") from exc
+        closed, witness = is_power_integrally_closed(oracle, t, box_budget=box_budget)
         if not closed:
             if not in_closure_power(I, witness, t) or contains_power(I, witness, t):
                 raise RuntimeError("counterexample witness failed verification")

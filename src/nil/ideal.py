@@ -55,6 +55,11 @@ def _check_exponent(a, n=None):
             raise IdealError(f"exponent entries must be nonnegative integers, got {x!r}")
 
 
+def _check_positive(value, what="power"):
+    if not isinstance(value, int) or value < 1:
+        raise IdealError(f"{what} must be a positive integer, got {value!r}")
+
+
 class MonomialIdeal:
     """Finite antichain of exponent vectors generating a monomial ideal.
 
@@ -130,8 +135,7 @@ def edge_ideal(G):
 
 def power(I, t):
     """Minimal generators of I^t (sums of t generators, minimalized)."""
-    if not isinstance(t, int) or t < 1:
-        raise IdealError(f"power exponent must be a positive integer, got {t!r}")
+    _check_positive(t, "power exponent")
     if I.is_zero:
         raise IdealError("power of the zero ideal is unsupported")
     if t == 1:
@@ -164,8 +168,7 @@ def contains_power(I, a, t):
     """
     a = tuple(a)
     _check_exponent(a, I.n)
-    if not isinstance(t, int) or t < 1:
-        raise IdealError(f"power exponent must be a positive integer, got {t!r}")
+    _check_positive(t, "power exponent")
     if I.is_zero:
         return False
     # Largest generators first tends to fail fast.

@@ -252,6 +252,17 @@ class TestCommands:
         assert payload["difference"] == []
         assert payload["closure_generators"] == payload["power_generators"] == [[2, 2]]
 
+    def test_closure_builds_the_power_once(self, f4_file, capsys, power_calls):
+        assert main(["closure", f4_file, "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["difference"] == [[1, 1, 1, 1, 1]]
+        assert power_calls == [2]
+
+    def test_closure_box_refused_before_the_power(self, f4_file, capsys, power_calls):
+        assert main(["closure", f4_file, "10000"]) == 3
+        assert "power t=10000: box volume" in capsys.readouterr().err
+        assert power_calls == []
+
     def test_closure_f3_contains_all_ones(self, tmp_path, capsys):
         path = tmp_path / "f3.txt"
         path.write_text("vertices 4\nedge 1 2 2\nedge 3 4 2\n")

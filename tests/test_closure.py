@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from nil.closure import (
+    ClosureOracle,
     closure_power_generators,
     in_closure_power,
     is_power_integrally_closed,
@@ -388,6 +389,65 @@ class TestNormalityScan:
             seen += 1
             assert in_closure_power(I, verdict.witness, verdict.t)
             assert not contains_power(I, verdict.witness, verdict.t)
+
+
+class TestClosureOracle:
+    def test_shared_cuts_save_lp_solves(self, monkeypatch):
+        import nil.closure
+
+        original = nil.closure.lp_max_weight
+        solves = []
+
+        def spy(I, a):
+            solves.append(a)
+            return original(I, a)
+
+        monkeypatch.setattr(nil.closure, "lp_max_weight", spy)
+        for scan in (is_power_integrally_closed, closure_power_generators):
+            oracle = ClosureOracle(F4_IDEAL)
+            shared = [scan(oracle, 1), scan(oracle, 2)]
+            shared_solves = len(solves)
+            solves.clear()
+            fresh = [scan(F4_IDEAL, 1), scan(F4_IDEAL, 2)]
+            # 15 solves for the two powers on fresh oracles; 9 through one.
+            assert shared == fresh and shared_solves < len(solves)
+            assert oracle.cuts
+            solves.clear()
+
+    def test_same_answers_as_an_ideal(self):
+        rng = random.Random(97)
+        for _ in range(15):
+            I = random_ideal(rng, n_max=4, max_gens=4)
+            oracle = ClosureOracle(I)
+            for k in (1, 2):
+                assert closure_power_generators(oracle, k) == closure_power_generators(I, k)
+                assert is_power_integrally_closed(oracle, k) == is_power_integrally_closed(I, k)
+
+    def test_each_power_built_once(self, power_calls):
+        oracle = ClosureOracle(F4_IDEAL)
+        square = oracle.power(2)
+        is_power_integrally_closed(oracle, 2)
+        closure_power_generators(oracle, 2)
+        assert oracle.power(2) is square
+        assert power_calls == [2]
+
+    def test_box_refused_before_the_power_is_built(self, power_calls):
+        with pytest.raises(ResourceLimitError, match="power t=2: box volume"):
+            closure_power_generators(F4_IDEAL, 2, box_budget=10)
+        with pytest.raises(ResourceLimitError, match="budget 10"):
+            is_power_integrally_closed(ClosureOracle(F4_IDEAL), 2, box_budget=10)
+        assert power_calls == []
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(IdealError, match="nonzero"):
+            ClosureOracle(MonomialIdeal(2, []))
+        with pytest.raises(IdealError, match="unit"):
+            ClosureOracle(MonomialIdeal(2, [(0, 0)]))
+        for k in (0, -1, 1.5, "2"):
+            with pytest.raises(IdealError, match="power must be a positive integer"):
+                ClosureOracle(F1_IDEAL).scan(k, 100)
+        with pytest.raises(IdealError, match="t_max must be a positive integer"):
+            normality_scan(F1_IDEAL, 0)
 
 
 class TestRebalanceEvenCycle:
