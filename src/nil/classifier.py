@@ -352,12 +352,12 @@ class GraphFamily:
     weights: tuple
 
     def __post_init__(self):
-        if self.max_vertices < 2:
-            raise ValueError("need max_vertices >= 2")
-        ws = tuple(sorted(set(self.weights)))
-        if not ws or any(not isinstance(w, int) or w < 1 for w in ws):
+        if type(self.max_vertices) is not int or self.max_vertices < 2:
+            raise ValueError("need an integer max_vertices >= 2")
+        ws = tuple(self.weights)
+        if not ws or any(type(w) is not int or w < 1 for w in ws):
             raise ValueError("weights must be a nonempty set of positive integers")
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "weights", tuple(sorted(set(ws))))
 
 
 @dataclass(frozen=True)

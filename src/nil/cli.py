@@ -93,7 +93,7 @@ def parse_graph_json(text):
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise GraphFileError('expected an object with "vertices" and "edges"')
     n = data["vertices"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if type(n) is not int:
         raise GraphFileError('"vertices" must be an integer')
     if not isinstance(data["edges"], list):
         raise GraphFileError('"edges" must be a list')
@@ -116,14 +116,6 @@ def parse_graph_file(path, fmt=None):
     if fmt == "json":
         return parse_graph_json(text)
     return parse_graph_text(text)
-
-
-def serialize_graph(G, fmt="text"):
-    if fmt == "json":
-        return json.dumps(graph_as_dict(G), indent=2, sort_keys=True) + "\n"
-    lines = [f"vertices {G.n}"]
-    lines.extend(f"edge {u} {v} {w}" for u, v, w in G.edge_list())
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

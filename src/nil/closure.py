@@ -291,7 +291,7 @@ def rebalance_even_cycle(beta, trivial_variant=True, a_weight=None):
     if any(b <= 0 for b in beta):
         raise IdealError("beta entries must be strictly positive")
     if not trivial_variant:
-        if a_weight is None or not isinstance(a_weight, int) or a_weight < 2:
+        if type(a_weight) is not int or a_weight < 2:
             raise IdealError("nontrivial variant needs an integer edge weight >= 2")
 
     m = len(beta)

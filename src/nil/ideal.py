@@ -51,12 +51,12 @@ def _check_exponent(a, n=None):
     if n is not None and len(a) != n:
         raise IdealError(f"exponent length {len(a)} does not match ambient {n}")
     for x in a:
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int or x < 0:
             raise IdealError(f"exponent entries must be nonnegative integers, got {x!r}")
 
 
 def _check_positive(value, what="power"):
-    if not isinstance(value, int) or value < 1:
+    if type(value) is not int or value < 1:
         raise IdealError(f"{what} must be a positive integer, got {value!r}")
 
 
@@ -70,7 +70,7 @@ class MonomialIdeal:
     __slots__ = ("n", "gens")
 
     def __init__(self, n, gens):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise IdealError(f"ambient variable count must be nonnegative, got {n!r}")
         gens = sorted(set(tuple(g) for g in gens))
         for g in gens:
@@ -229,7 +229,7 @@ def restrict(I, V):
     """
     V = set(V)
     for v in V:
-        if not (isinstance(v, int) and 1 <= v <= I.n):
+        if not (type(v) is int and 1 <= v <= I.n):
             raise IdealError(f"vertex {v!r} outside 1..{I.n}")
     kept = [g for g in I.gens if support(g) <= V]
     # A subset of an antichain is an antichain; no re-minimalization needed.

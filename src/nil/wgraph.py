@@ -12,6 +12,7 @@ operations are safe to call concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import GraphError, ResourceLimitError
 
@@ -19,11 +20,6 @@ DEFAULT_CYCLE_CAP = 10**6
 # Every vertex gets an adjacency set and a report entry, so a graph file
 # cannot ask for more than this many.
 _MAX_VERTICES = 10**5
-
-
-def _is_int(x):
-    # bool is an int subclass, but True is no vertex count, label or weight
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class WeightedGraph:
@@ -36,7 +32,8 @@ class WeightedGraph:
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n, edge_list=()):
-        if not _is_int(n) or n < 0:
+        # exact int: True is no vertex count, label or weight
+        if type(n) is not int or n < 0:
             raise GraphError(f"vertex count must be a nonnegative integer, got {n!r}")
         if n > _MAX_VERTICES:
             raise ResourceLimitError(f"vertex count {n} exceeds the cap {_MAX_VERTICES}")
@@ -49,13 +46,13 @@ class WeightedGraph:
                 w = 1
             else:
                 u, v, w = item
-            if not (_is_int(u) and _is_int(v)):
+            if not (type(u) is int and type(v) is int):
                 raise GraphError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
             if u == v:
                 raise GraphError(f"self-loop at vertex {u} is not allowed")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphError(f"edge ({u}, {v}) has an endpoint outside 1..{n}")
-            if not _is_int(w) or w < 1:
+            if type(w) is not int or w < 1:
                 raise GraphError(f"edge ({u}, {v}) has weight {w!r}; weights must be integers >= 1")
             key = (u, v) if u < v else (v, u)
             if key in self.edges:
@@ -164,14 +161,6 @@ def canonical_cycle(vertices):
     if vs[1] > vs[-1]:
         vs = [vs[0]] + vs[1:][::-1]
     return tuple(vs)
-
-
-def is_cycle_of(G, cycle):
-    """Check by direct edge lookups that `cycle` is a cycle of G."""
-    m = len(cycle)
-    if m < 3 or len(set(cycle)) != m:
-        return False
-    return all(G.has_edge(cycle[i], cycle[(i + 1) % m]) for i in range(m))
 
 
 def is_bipartite(G):
@@ -318,26 +307,33 @@ def biconnected_blocks(G):
     return blocks
 
 
-def has_even_cycle(G):
-    """True iff G contains a cycle (not necessarily induced) of even length.
+def _cycle_blocks(G):
+    """Vertex sets of the blocks of G that are cycles, or None when G has an
+    even cycle.
 
-    Uses the block criterion: no even cycle iff every biconnected block is
-    a single edge or an odd cycle (a 2-connected non-cycle block contains a
-    theta subgraph, and one of a theta's three cycles is always even).
-    Such blocks hold at most 3(n - 1)/2 edges in all, so a denser graph has
-    an even cycle without a block pass.
+    No even cycle iff every biconnected block is a single edge or an odd
+    cycle (a 2-connected non-cycle block contains a theta subgraph, and one
+    of a theta's three cycles is always even).  Such blocks hold at most
+    3(n - 1)/2 edges in all, so a denser graph has an even cycle without a
+    block pass.  When the answer is not None, every cycle of G is one of
+    these blocks.
     """
     if G.n and 2 * len(G.edges) > 3 * (G.n - 1):
-        return True
+        return None
+    cycles = []
     for block in biconnected_blocks(G):
         if len(block) == 1:
             continue
         verts = {v for e in block for v in e}
-        if len(block) != len(verts):
-            return True  # 2-connected but not a cycle
-        if len(block) % 2 == 0:
-            return True
-    return False
+        if len(block) != len(verts) or len(block) % 2 == 0:
+            return None  # 2-connected but not a cycle, or an even cycle
+        cycles.append(verts)
+    return cycles
+
+
+def has_even_cycle(G):
+    """True iff G contains a cycle (not necessarily induced) of even length."""
+    return _cycle_blocks(G) is None
 
 
 def odd_chordless_cycles(G):
@@ -420,10 +416,14 @@ def classify_compact(G):
     if leaves:
         raise GraphError(f"graph has a leaf at vertex {leaves[0]}")
 
-    if has_even_cycle(G):
-        return CompactClass("not_compact")
-    ok, _ = odd_cycle_condition(G)
-    if not ok:
+    # Without an even cycle every cycle is a cycle block, so the odd cycle
+    # condition reads: every two vertex-disjoint cycle blocks are joined by
+    # an edge.
+    blocks = _cycle_blocks(G)
+    if blocks is None or any(
+        b1.isdisjoint(b2) and not any(G.adj[x] & b2 for x in b1)
+        for b1, b2 in combinations(blocks, 2)
+    ):
         return CompactClass("not_compact")
 
     stems = tuple(v for v in G.vertices() if len(G.adj[v]) >= 3)
@@ -438,13 +438,10 @@ def classify_compact(G):
                 "compact graph with two stems lacks the stem edge; "
                 "classification invariant violated"
             )
-        # The stem edge is a bridge exactly when no extra path closes a
-        # cycle through both stems.
-        bridge = any(
-            len(block) == 1 and block[0] == (s1, s2)
-            for block in biconnected_blocks(G)
-        )
-        return CompactClass("two_bouquets", stems, has_even_path=not bridge)
+        # An extra path between the stems closes a cycle through both, and
+        # that cycle is a block.
+        even_path = any(s1 in b and s2 in b for b in blocks)
+        return CompactClass("two_bouquets", stems, has_even_path=even_path)
     if len(stems) == 3:
         s1, s2, s3 = stems
         if not (G.has_edge(s1, s2) and G.has_edge(s1, s3) and G.has_edge(s2, s3)):
@@ -457,19 +454,3 @@ def classify_compact(G):
         f"compact graph with {len(stems)} stem candidates; "
         "classification invariant violated"
     )
-
-
-def remove_edge(G, u, v):
-    """G minus one edge (vertex set unchanged)."""
-    key = (u, v) if u < v else (v, u)
-    if key not in G.edges:
-        raise GraphError(f"no edge ({u}, {v})")
-    return WeightedGraph(
-        G.n, [(a, b, w) for (a, b), w in G.edges.items() if (a, b) != key]
-    )
-
-
-def disjoint_union(G, H):
-    """G together with H relabeled onto {n+1 .. n+m}."""
-    shifted = [(u + G.n, v + G.n, w) for (u, v, w) in H.edge_list()]
-    return WeightedGraph(G.n + H.n, list(G.edge_list()) + shifted)

@@ -6,11 +6,17 @@ instead of path extension, component decompositions instead of finder
 logic.  Slow is fine; these run on tiny inputs.  The one exception is
 fraction_simplex, the library's pivot rules over Fractions, which pins the
 integer-preserving simplex to the same pivots and the same answers.
+
+The file also holds the small graph helpers and seeded generators that
+only the tests use.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
 
+from nil.classifier import graph_as_dict
+from nil.errors import GraphError
 from nil.ideal import MonomialIdeal, divides, minimalize
 from nil.wgraph import WeightedGraph, canonical_cycle, induced_subgraph
 
@@ -317,6 +323,43 @@ def finder_keys(configs):
 
 
 # ---------------------------------------------------------------------------
+# Graph helpers
+# ---------------------------------------------------------------------------
+
+def is_cycle_of(G, cycle):
+    """Check by direct edge lookups that `cycle` is a cycle of G."""
+    m = len(cycle)
+    if m < 3 or len(set(cycle)) != m:
+        return False
+    return all(G.has_edge(cycle[i], cycle[(i + 1) % m]) for i in range(m))
+
+
+def remove_edge(G, u, v):
+    """G minus one edge (vertex set unchanged)."""
+    key = (u, v) if u < v else (v, u)
+    if key not in G.edges:
+        raise GraphError(f"no edge ({u}, {v})")
+    return WeightedGraph(
+        G.n, [(a, b, w) for (a, b), w in G.edges.items() if (a, b) != key]
+    )
+
+
+def disjoint_union(G, H):
+    """G together with H relabeled onto {n+1 .. n+m}."""
+    shifted = [(u + G.n, v + G.n, w) for (u, v, w) in H.edge_list()]
+    return WeightedGraph(G.n + H.n, list(G.edge_list()) + shifted)
+
+
+def serialize_graph(G, fmt="text"):
+    """G as a graph file in the text or json format that nil reads."""
+    if fmt == "json":
+        return json.dumps(graph_as_dict(G), indent=2, sort_keys=True) + "\n"
+    lines = [f"vertices {G.n}"]
+    lines.extend(f"edge {u} {v} {w}" for u, v, w in G.edge_list())
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Random generators (all seeded by the caller)
 # ---------------------------------------------------------------------------
 
@@ -334,6 +377,54 @@ def random_graph_with_edge(rng, **kwargs):
         G = random_graph(rng, **kwargs)
         if G.edges:
             return G
+
+
+def random_cactus(rng, n_min=8, n_max=30, max_chords=2):
+    """A connected leafless graph on n_min..n_max vertices, randomly labelled.
+
+    Odd cycles are added one at a time.  Each new one is glued at a vertex
+    to the graph so far (two times in three) or joined to it by an edge.
+    Three times in four it attaches at one of the first three vertices of
+    the first cycle, which is a triangle half of the time; so bouquets and
+    adjacent stems, and with them compact graphs of every shape, are
+    common.  Then 0 to max_chords random chords are added.
+    """
+    edges = []
+    adj = {}
+
+    def add(u, v):
+        edges.append((u, v))
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+
+    def add_cycle(length, at=None):
+        """A cycle of new vertices, or of new vertices and `at`; its vertices."""
+        new = range(len(adj) + 1, len(adj) + 1 + length - (at is not None))
+        vs = ([] if at is None else [at]) + list(new)
+        for i, x in enumerate(vs):
+            add(x, vs[i - 1])
+        return vs
+
+    anchors = add_cycle(rng.choice((3, 5, 7, 9)) if rng.random() < 0.5 else 3)[:3]
+    while len(adj) < n_min or rng.random() < 0.5:
+        at = rng.choice(anchors if rng.random() < 0.75 else list(adj))
+        glue = rng.random() < 2 / 3
+        room = n_max - len(adj) + glue
+        lengths = [m for m in range(3, 14, 2) if m <= room]
+        if not lengths:
+            break
+        if glue:
+            add_cycle(rng.choice(lengths), at)
+        else:
+            add(at, add_cycle(rng.choice(lengths))[0])
+    n = len(adj)
+    for _ in range(rng.randint(0, max_chords)):
+        u, v = rng.sample(range(1, n + 1), 2)
+        if v not in adj[u]:
+            add(u, v)
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return WeightedGraph(n, [(label[u - 1], label[v - 1], 1) for u, v in edges])
 
 
 def random_exponent(rng, n, entry_max=3):

@@ -16,9 +16,16 @@ from nil.classifier import (
 )
 from nil.errors import GraphError
 from nil.ideal import contains_power, edge_ideal
-from nil.wgraph import build_graph, disjoint_union, odd_cycle_condition, remove_edge
+from nil.wgraph import build_graph, odd_cycle_condition
 
-from _oracles import brute_forbidden, finder_keys, random_graph, random_graph_with_edge
+from _oracles import (
+    brute_forbidden,
+    disjoint_union,
+    finder_keys,
+    random_graph,
+    random_graph_with_edge,
+    remove_edge,
+)
 
 
 def triangle(weights=(1, 1, 1)):
@@ -448,3 +455,8 @@ class TestCrossValidate:
             GraphFamily(3, ())
         with pytest.raises(ValueError):
             GraphFamily(3, (0, 1))
+        # the integer rule comes before any sort or comparison
+        with pytest.raises(ValueError, match="weights"):
+            GraphFamily(3, (1, "a"))
+        with pytest.raises(ValueError, match="max_vertices"):
+            GraphFamily("3", (1,))

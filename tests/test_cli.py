@@ -15,12 +15,11 @@ from nil.cli import (
     parse_graph_file,
     parse_graph_json,
     parse_graph_text,
-    serialize_graph,
 )
 from nil.errors import GraphError, GraphFileError
 from nil.wgraph import build_graph
 
-from _oracles import random_graph
+from _oracles import random_graph, serialize_graph
 
 F1_TEXT = "vertices 3\nedge 1 2 2\nedge 2 3 2\n"
 F4_TEXT = "vertices 5\nedge 1 2\nedge 2 3\nedge 1 3\nedge 4 5 2\n"

@@ -443,11 +443,12 @@ class TestClosureOracle:
             ClosureOracle(MonomialIdeal(2, []))
         with pytest.raises(IdealError, match="unit"):
             ClosureOracle(MonomialIdeal(2, [(0, 0)]))
-        for k in (0, -1, 1.5, "2"):
+        for k in (0, -1, 1.5, "2", True):
             with pytest.raises(IdealError, match="power must be a positive integer"):
                 ClosureOracle(F1_IDEAL).scan(k, 100)
-        with pytest.raises(IdealError, match="t_max must be a positive integer"):
-            normality_scan(F1_IDEAL, 0)
+        for t_max in (0, True):
+            with pytest.raises(IdealError, match="t_max must be a positive integer"):
+                normality_scan(F1_IDEAL, t_max=t_max)
 
 
 class TestRebalanceEvenCycle:
@@ -497,8 +498,9 @@ class TestRebalanceEvenCycle:
             rebalance_even_cycle([Fraction(1), Fraction(0), Fraction(1), Fraction(1)])
         with pytest.raises(IdealError, match="even cycle"):
             rebalance_even_cycle([Fraction(1)] * 5)
-        with pytest.raises(IdealError, match="weight"):
-            rebalance_even_cycle([Fraction(1)] * 4, trivial_variant=False)
+        for a_weight in (None, 1, 2.0):
+            with pytest.raises(IdealError, match="weight"):
+                rebalance_even_cycle([Fraction(1)] * 4, trivial_variant=False, a_weight=a_weight)
 
     @pytest.mark.parametrize("m", [4, 6, 8])
     def test_conclusions_on_random_betas(self, m):

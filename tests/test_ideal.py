@@ -46,6 +46,12 @@ class TestMonomialIdeal:
         with pytest.raises(IdealError):
             MonomialIdeal(2, [(1, 1, 1)])
 
+    def test_rejects_bool(self):
+        with pytest.raises(IdealError, match="exponent entries"):
+            MonomialIdeal(2, [(True, 1)])
+        with pytest.raises(IdealError, match="ambient"):
+            MonomialIdeal(True, [(1,)])
+
     def test_sorted_deterministically(self):
         I = MonomialIdeal(2, [(0, 2), (2, 0), (1, 1)])
         assert I.gens == ((0, 2), (1, 1), (2, 0))
@@ -129,8 +135,11 @@ class TestPower:
         assert power(I, 1) == I
 
     def test_zero_exponent_rejected(self):
-        with pytest.raises(IdealError):
-            power(MonomialIdeal(2, [(1, 1)]), 0)
+        for t in (0, True):
+            with pytest.raises(IdealError, match="power exponent"):
+                power(MonomialIdeal(2, [(1, 1)]), t)
+            with pytest.raises(IdealError, match="power exponent"):
+                contains_power(MonomialIdeal(2, [(1, 1)]), (1, 1), t)
 
     def test_additivity(self):
         rng = random.Random(5)
@@ -254,8 +263,9 @@ class TestRestrict:
         assert restrict(I, set()).is_zero
 
     def test_out_of_range(self):
-        with pytest.raises(IdealError):
-            restrict(MonomialIdeal(2, [(1, 1)]), {3})
+        for V in ({3}, {True, 2}):
+            with pytest.raises(IdealError):
+                restrict(MonomialIdeal(2, [(1, 1)]), V)
 
     def test_commutes_with_power(self):
         rng = random.Random(31)

@@ -1,8 +1,10 @@
 import random
+from enum import IntEnum
 from itertools import combinations
 
 import pytest
 
+import nil.wgraph
 from nil.errors import GraphError, ResourceLimitError
 from nil.wgraph import (
     WeightedGraph,
@@ -12,11 +14,9 @@ from nil.wgraph import (
     classify_compact,
     connected_components,
     disjoint_odd_pairs,
-    disjoint_union,
     has_even_cycle,
     induced_subgraph,
     is_bipartite,
-    is_cycle_of,
     odd_chordless_cycles,
     odd_cycle_condition,
     trivial_leaves,
@@ -26,7 +26,11 @@ from _oracles import (
     brute_all_cycles,
     brute_chordless_cycles,
     brute_has_even_cycle,
+    disjoint_union,
+    is_cycle_of,
+    random_cactus,
     random_graph,
+    remove_edge,
 )
 
 
@@ -83,6 +87,9 @@ class TestConstruction:
             build_graph(2, [(1, 2, 0)])
         with pytest.raises(GraphError, match="weight"):
             build_graph(2, [(1, 2, True)])
+        # only an exact int is a weight, as for every integer input
+        with pytest.raises(GraphError, match="weight"):
+            build_graph(2, [(1, 2, IntEnum("W", "TWO THREE").TWO)])
 
     def test_pair_defaults_to_weight_one(self):
         assert build_graph(2, [(1, 2)]).weight(1, 2) == 1
@@ -393,3 +400,44 @@ class TestClassifyCompact:
             result = classify_compact(G)
             compact = not brute_has_even_cycle(G) and odd_cycle_condition(G)[0]
             assert (result.tag != "not_compact") == compact
+
+    def test_random_cactus_matches_definition(self):
+        # 8..30 vertices, past criterion 10's exhaustive n <= 7; every
+        # three_bouquets graph has at least 9 vertices.
+        rng = random.Random(29)
+        seen = {}
+        for _ in range(1500):
+            G = random_cactus(rng)
+            result = classify_compact(G)
+            compact = not brute_has_even_cycle(G) and odd_cycle_condition(G)[0]
+            assert (result.tag != "not_compact") == compact, G
+            if result.tag == "two_bouquets":
+                s1, s2 = result.stems
+                not_bridge = len(connected_components(remove_edge(G, s1, s2))) == 1
+                assert result.has_even_path == not_bridge, G
+            key = (result.tag, result.has_even_path)
+            seen[key] = seen.get(key, 0) + 1
+        assert len(seen) == 5 and min(seen.values()) >= 5, seen
+
+    def test_one_block_pass_and_no_cycle_enumeration(self, monkeypatch):
+        blocks = nil.wgraph.biconnected_blocks
+        calls = []
+
+        def spy_blocks(G):
+            calls.append("blocks")
+            return blocks(G)
+
+        def spy_cycles(G, *args, **kwargs):
+            calls.append("cycles")
+            return []
+
+        monkeypatch.setattr(nil.wgraph, "biconnected_blocks", spy_blocks)
+        monkeypatch.setattr(nil.wgraph, "chordless_cycles", spy_cycles)
+        rng = random.Random(31)
+        tags = set()
+        for _ in range(1000):
+            G = random_cactus(rng)
+            calls.clear()
+            tags.add(classify_compact(G).tag)
+            assert calls in ([], ["blocks"]), calls
+        assert tags == {"not_compact", "bouquet", "two_bouquets", "three_bouquets"}
