@@ -13,8 +13,14 @@ sum exists.  A feasible dual does not depend on a, so by weak duality it
 bounds the optimum at every point: <y, a> < k proves that x^a is not in
 the closure of I^k.  A ClosureOracle holds what the box scans of one
 ideal share: the certified duals of its solves, kept as integer cuts that
-are valid at every power, and each power I^k, built once.  A scan solves
-an LP only at points that no cut rejects.
+are valid at every power, and each power I^k, built once.
+
+A scan of I^k looks for closure points only in the staircase of I^k, the
+points of the degree box that no generator of I^k divides (its standard
+monomials): every other box point is already known to lie in I^k.  The
+up-set of the generators is built as one Python int with a bit per box
+point, by shifts along each axis, and the scan walks the staircase row by
+row in product order.  It solves an LP only at points that no cut rejects.
 
 No floating point appears anywhere in a decision path: the simplex and
 the certificate checks run over arbitrary-precision ints, the checks on
@@ -26,13 +32,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm, prod
 from operator import mul
 
 from . import simplex
 from .errors import IdealError, ResourceLimitError
-from .ideal import MonomialIdeal, _check_exponent, _check_positive, contains_power, power
+from .ideal import (
+    MonomialIdeal,
+    _check_exponent,
+    _check_positive,
+    contains_power,
+    divides,
+    power,
+)
 
 DEFAULT_BOX_BUDGET = 10**7
 
@@ -156,25 +168,39 @@ class ClosureOracle:
         generator maximum: the box is exhaustive.  A box over box_budget
         points is refused before I^k is built.
 
-        The closure is an up-set, so a closure point a is minimal exactly
-        when no a - e_i is a closure point.  The walk goes in product (lex)
-        order, where a - e_i comes stride_i steps before a, and one byte per
-        box point marks the closure points seen so far.
+        A minimal closure generator is either a generator of I^k or lies in
+        the staircase of I^k: the box points that no generator of I^k
+        divides.  The walk visits the staircase alone, in product (lex)
+        order, a row at a time along the last axis that has room; the
+        staircase is a down-set, so it holds a prefix of each row.  A
+        generator of I^k is minimal in the closure exactly when no failure
+        divides it.
+
+        The closure is an up-set, so within a row its points form a suffix,
+        and a staircase point a is a minimal closure point exactly when no
+        a - e_i is a closure point.  a - e_i is a staircase point as well,
+        of the same row or of a row visited earlier, so a row's candidates
+        end where the closure begins in the row or in one of the rows one
+        step below it.  One byte per box point marks that first closure
+        point of each row.
 
         A point a with <Y, a> < k * D for some cut has optimum below k, so
-        it is skipped without a solve; the duals of this scan's solves join
-        the cuts.
+        it is skipped without a solve; a cut's bound grows along a row, so
+        it rejects a prefix of the row.  The duals of this scan's solves
+        join the cuts.  The points solved are those the plain product walk
+        solves, in the same order, so the cuts and every result match it.
 
         With witness_only, a failure of degree d lowers a degree ceiling to
-        d, and every later point of degree >= d is skipped, unmarked, before
-        the bitmap lookup: later points of equal degree are lex-larger, and
-        a point whose neighbour a - e_i was skipped has a degree above the
-        ceiling too, so the bitmap stays exact below it.  The last failure
-        is then the first in (degree, lex) order; the generators found are
-        incomplete.  A failure at the minimum degree k * min(deg g) ends the
-        walk, since no later point can lie below it.
+        d, and every later point of degree >= d is skipped, unmarked: later
+        points of equal degree are lex-larger, and a point whose neighbour
+        a - e_i was skipped has a degree above the ceiling too, so the
+        marks stay exact below it.  The last failure is then the first in
+        (degree, lex) order, and the generators are not collected: the
+        scan returns ([], failures).  A failure at the minimum degree
+        k * min(deg g) ends the walk, since no later point can lie below it.
         """
         _check_positive(k)
+        _check_positive(box_budget, "box_budget")
         I, cuts = self.ideal, self.cuts
         bounds = _box_bounds(I, k)
         volume = prod(b + 1 for b in bounds)
@@ -184,38 +210,113 @@ class ClosureOracle:
                 f"(bounds {list(bounds)})"
             )
         strides = [prod(b + 1 for b in bounds[i + 1 :]) for i in range(I.n)]
+        power_gens = self.power(k).gens
+        up = format(_upper_set(power_gens, bounds, strides, volume), f"0{volume}b")
+        # Rows run along the last axis j with room; the axes after j are 0,
+        # so a row is a run of consecutive indices.
+        j = max(i for i, b in enumerate(bounds) if b)
+        width, tail = bounds[j] + 1, (0,) * (I.n - 1 - j)
+        radices = [b + 1 for b in bounds[:j]][::-1]
         marked = bytearray(volume)
-        power_gens = set(self.power(k).gens)
         min_degree = k * min(sum(g) for g in I.gens)
         ceiling = sum(bounds) + 1
-        found, failures = [], []
-        for index, a in enumerate(product(*(range(b + 1) for b in bounds))):
-            degree = sum(a)
-            if degree < min_degree or degree >= ceiling:
+        failures = []
+        for start, length in _staircase_rows(up, width):
+            rest, digits = start // width, []
+            for z in radices:
+                rest, d = divmod(rest, z)
+                digits.append(d)
+            prefix = tuple(digits[::-1])
+            degree = sum(prefix)
+            x = max(0, min_degree - degree)
+            stop = first = min(length, ceiling - degree)
+            if x >= stop:
                 continue
-            if any(x and marked[index - s] for x, s in zip(a, strides)):
-                marked[index] = 1
-                continue
-            # A minimal closure point is in I^k only as a generator.
-            if a in power_gens:
-                found.append(a)
-                marked[index] = 1
-                continue
-            if any(sum(map(mul, Y, a)) < k * D for Y, D in cuts):
-                continue
-            result = lp_max_weight(I, a)
-            cut = _integer_cut(result.dual)
-            if cut not in cuts:
-                cuts.append(cut)
-            if result.optimum >= k:
-                found.append(a)
-                failures.append(a)
-                marked[index] = 1
-                if witness_only:
-                    ceiling = degree
-                    if ceiling <= min_degree:
+            if failures:
+                # The closure starts no later than in a row one step below;
+                # rows are marked only once some failure has been found.
+                for p, s in zip(prefix, strides):
+                    if p:
+                        m = marked.find(1, start - s, start - s + first)
+                        if m >= 0:
+                            first = m - start + s
+            while True:
+                # Each cut rejects a prefix of the row: move x past it.
+                for Y, D in cuts:
+                    if x >= first:
                         break
+                    need = k * D - sum(map(mul, Y, prefix))
+                    if need > Y[j] * x:
+                        x = -(-need // Y[j]) if Y[j] else first
+                if x >= first:
+                    break
+                a = prefix + (x,) + tail
+                result = lp_max_weight(I, a)
+                cut = _integer_cut(result.dual)
+                if cut not in cuts:
+                    cuts.append(cut)
+                if result.optimum >= k:
+                    failures.append(a)
+                    first = x
+                    if witness_only:
+                        ceiling = degree + x
+                    break
+            if first < stop:
+                marked[start + first] = 1
+            if ceiling <= min_degree:
+                break
+        if witness_only:
+            return [], failures
+        found = failures + [
+            g for g in power_gens if not any(divides(f, g) for f in failures)
+        ]
         return found, failures
+
+
+def _tile(block, width, count):
+    """The int made of count copies of the width-bit field block, by doubling."""
+    out = 0
+    while count:
+        if count & 1:
+            out = out << width | block
+        block |= block << width
+        width *= 2
+        count >>= 1
+    return out
+
+
+def _upper_set(gens, bounds, strides, volume):
+    """The up-set of gens in the box, as an int with box index i at bit
+    volume - 1 - i, so that its zero-padded binary digits run in index order.
+
+    Starting from one bit per generator, axis i is swept bounds[i] times
+    with U |= (U & M_i) >> stride_i, where M_i holds the points with
+    a_i < bounds[i]: a step up axis i lowers the bit by stride_i.
+    """
+    up = 0
+    for g in gens:
+        up |= 1 << (volume - 1 - sum(map(mul, g, strides)))
+    for b, s in zip(bounds, strides):
+        if b:
+            block = (b + 1) * s
+            room = _tile((1 << block) - (1 << s), block, volume // block)
+            for _ in range(b):
+                up |= (up & room) >> s
+    return up
+
+
+def _staircase_rows(up, width):
+    """(start, length) of the staircase part of each row, in index order.
+
+    up holds one character per box index, "1" on the up-set; rows are runs
+    of width consecutive indices.  The staircase is a down-set, so it holds
+    a prefix of each row, and rows without one are skipped.
+    """
+    start = up.find("0")
+    while start >= 0:
+        end = up.find("1", start, start + width)
+        yield start, (width if end < 0 else end - start)
+        start = up.find("0", start + width)
 
 
 def _as_oracle(I):

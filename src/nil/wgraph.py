@@ -409,8 +409,14 @@ def classify_compact(G):
     """
     if not G.edges:
         raise GraphError("compact classification needs at least one edge")
-    comps = connected_components(G)
-    if len(comps) != 1:
+    reached, stack = {1}, [1]
+    while stack:
+        for y in G.adj[stack.pop()]:
+            if y not in reached:
+                reached.add(y)
+                stack.append(y)
+    if len(reached) != G.n:
+        comps = connected_components(G)
         raise GraphError(f"graph is disconnected ({len(comps)} components)")
     leaves = [v for v in G.vertices() if len(G.adj[v]) == 1]
     if leaves:

@@ -5,7 +5,9 @@ library's algorithms: Fourier-Motzkin instead of simplex, subset scans
 instead of path extension, component decompositions instead of finder
 logic.  Slow is fine; these run on tiny inputs.  The one exception is
 fraction_simplex, the library's pivot rules over Fractions, which pins the
-integer-preserving simplex to the same pivots and the same answers.
+integer-preserving simplex to the same pivots and the same answers; and
+product_scan, the closure scan's walk of the whole box, which pins the
+staircase walk to the same solves, cuts and results.
 
 The file also holds the small graph helpers and seeded generators that
 only the tests use.
@@ -13,8 +15,11 @@ only the tests use.
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
+from operator import mul
 
+import nil.closure
 from nil.classifier import graph_as_dict
 from nil.errors import GraphError
 from nil.ideal import MonomialIdeal, divides, minimalize
@@ -153,6 +158,56 @@ def fraction_simplex(columns, rhs):
     for r, i in enumerate(live):
         dual[i] = Fraction(obj[s + r])
     return Fraction(obj[-1]), coeffs, dual, pivots, ties
+
+
+# ---------------------------------------------------------------------------
+# The closure scan as a walk of the whole box
+# ---------------------------------------------------------------------------
+
+def product_scan(oracle, k, witness_only=False):
+    """ClosureOracle.scan as a walk of the whole box in product order.
+
+    Every box point of degree in range is visited, and one byte per point
+    marks the closure points seen, so minimality is at most n lookups.
+    Generators of I^k are found where the walk meets them.  The scan uses
+    and extends the oracle's cuts, as the library scan does, and solves
+    through nil.closure.lp_max_weight, so a spy there sees both walks.
+    """
+    I, cuts = oracle.ideal, oracle.cuts
+    bounds = nil.closure._box_bounds(I, k)
+    volume = prod(b + 1 for b in bounds)
+    strides = [prod(b + 1 for b in bounds[i + 1 :]) for i in range(I.n)]
+    marked = bytearray(volume)
+    power_gens = set(oracle.power(k).gens)
+    min_degree = k * min(sum(g) for g in I.gens)
+    ceiling = sum(bounds) + 1
+    found, failures = [], []
+    for index, a in enumerate(product(*(range(b + 1) for b in bounds))):
+        degree = sum(a)
+        if degree < min_degree or degree >= ceiling:
+            continue
+        if any(x and marked[index - s] for x, s in zip(a, strides)):
+            marked[index] = 1
+            continue
+        if a in power_gens:
+            found.append(a)
+            marked[index] = 1
+            continue
+        if any(sum(map(mul, Y, a)) < k * D for Y, D in cuts):
+            continue
+        result = nil.closure.lp_max_weight(I, a)
+        cut = nil.closure._integer_cut(result.dual)
+        if cut not in cuts:
+            cuts.append(cut)
+        if result.optimum >= k:
+            found.append(a)
+            failures.append(a)
+            marked[index] = 1
+            if witness_only:
+                ceiling = degree
+                if ceiling <= min_degree:
+                    break
+    return found, failures
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
+import nil.closure
 from nil.closure import (
+    DEFAULT_BOX_BUDGET,
     ClosureOracle,
     closure_power_generators,
     in_closure_power,
@@ -25,7 +28,13 @@ from nil.ideal import (
 )
 from nil.wgraph import build_graph
 
-from _oracles import fm_max_total, random_exponent, random_graph_with_edge, random_ideal
+from _oracles import (
+    fm_max_total,
+    product_scan,
+    random_exponent,
+    random_graph_with_edge,
+    random_ideal,
+)
 
 F1_IDEAL = MonomialIdeal(3, [(2, 2, 0), (0, 2, 2)])
 F4_IDEAL = MonomialIdeal(5, [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (1, 0, 1, 0, 0), (0, 0, 0, 2, 2)])
@@ -297,19 +306,20 @@ class TestIsPowerIntegrallyClosed:
     def test_witness_at_the_minimum_degree_ends_the_walk(self, monkeypatch):
         import nil.closure
 
+        real = nil.closure._staircase_rows
         drawn = []
 
-        def counting_product(*ranges):
-            for point in product(*ranges):
-                drawn.append(1)
-                yield point
+        def counting_rows(up, width):
+            for start, length in real(up, width):
+                drawn.append(length)
+                yield start, length
 
-        monkeypatch.setattr(nil.closure, "product", counting_product)
+        monkeypatch.setattr(nil.closure, "_staircase_rows", counting_rows)
         # The 5^9 box of the weight-4 path on 9 vertices: its witness has
         # the minimum degree 8, so no later point can replace it.
         I = edge_ideal(build_graph(9, [(i, i + 1, 4) for i in range(1, 9)]))
         assert is_power_integrally_closed(I, 1) == (False, (0, 0, 0, 0, 0, 0, 1, 4, 3))
-        assert len(drawn) < 10**4
+        assert 0 < sum(drawn) < 10**4
 
     def test_witness_matches_the_full_walk(self):
         # The witness scan skips points at or above the best failure's
@@ -449,6 +459,89 @@ class TestClosureOracle:
         for t_max in (0, True):
             with pytest.raises(IdealError, match="t_max must be a positive integer"):
                 normality_scan(F1_IDEAL, t_max=t_max)
+
+    def test_rejects_a_bad_box_budget(self, power_calls):
+        for budget in (None, "100", 1e7, True, 0, -1):
+            with pytest.raises(IdealError, match="box_budget must be a positive integer"):
+                closure_power_generators(F1_IDEAL, 1, box_budget=budget)
+            with pytest.raises(IdealError, match="box_budget must be a positive integer"):
+                is_power_integrally_closed(ClosureOracle(F4_IDEAL), 2, box_budget=budget)
+            with pytest.raises(IdealError, match="box_budget must be a positive integer"):
+                normality_scan(F4_IDEAL, box_budget=budget)
+        assert power_calls == []
+
+
+class TestStaircaseWalk:
+    def test_up_set_matches_divisibility(self):
+        rng = random.Random(131)
+        for _ in range(150):
+            I = random_ideal(rng, n_max=4, max_gens=4)
+            k = rng.randint(1, 3)
+            gens = power(I, k).gens
+            bounds = [k * max(g[i] for g in I.gens) for i in range(I.n)]
+            volume = prod(b + 1 for b in bounds)
+            strides = [prod(b + 1 for b in bounds[i + 1 :]) for i in range(I.n)]
+            up = format(nil.closure._upper_set(gens, bounds, strides, volume), f"0{volume}b")
+            expected = "".join(
+                "1" if any(divides(g, a) for g in gens) else "0"
+                for a in product(*[range(b + 1) for b in bounds])
+            )
+            assert up == expected
+
+    def test_matches_the_product_walk(self):
+        # The staircase walk solves the LPs of the walk of the whole box, in
+        # the same order: same failures, same cuts, and in a full scan the
+        # same generators.  One oracle serves k = 1..3, so cuts carry over.
+        rng = random.Random(137)
+        with_failures = 0
+        for _ in range(1000):
+            I = random_ideal(rng, n_max=4, max_gens=4, entry_max=2)
+            for witness_only in (False, True):
+                walk, plain = ClosureOracle(I), ClosureOracle(I)
+                for k in (1, 2, 3):
+                    found, failures = walk.scan(k, DEFAULT_BOX_BUDGET, witness_only)
+                    expected_found, expected_failures = product_scan(plain, k, witness_only)
+                    assert failures == expected_failures
+                    assert walk.cuts == plain.cuts
+                    if not witness_only:
+                        assert sorted(found) == sorted(expected_found)
+                    with_failures += bool(failures)
+        assert with_failures >= 300
+
+    def test_axes_without_room_are_walked_past(self):
+        # The last variable never occurs, so rows run along the one before it.
+        I = MonomialIdeal(5, [(2, 2, 0, 0, 0), (0, 2, 2, 0, 0), (0, 0, 1, 1, 0)])
+        for k in (1, 2):
+            for witness_only in (False, True):
+                found, failures = ClosureOracle(I).scan(k, DEFAULT_BOX_BUDGET, witness_only)
+                expected = product_scan(ClosureOracle(I), k, witness_only)
+                assert failures == expected[1]
+                if not witness_only:
+                    assert sorted(found) == sorted(expected[0])
+        assert is_power_integrally_closed(I, 1) == (False, (1, 2, 1, 0, 0))
+
+    def test_solves_only_outside_the_power(self, monkeypatch):
+        original = nil.closure.lp_max_weight
+        solved = []
+
+        def spy(I, a):
+            solved.append(a)
+            return original(I, a)
+
+        monkeypatch.setattr(nil.closure, "lp_max_weight", spy)
+        rng = random.Random(139)
+        total = 0
+        for _ in range(150):
+            I = random_ideal(rng, n_max=4, max_gens=4)
+            oracle = ClosureOracle(I)
+            for k in (1, 2, 3):
+                for witness_only in (False, True):
+                    solved.clear()
+                    oracle.scan(k, DEFAULT_BOX_BUDGET, witness_only)
+                    power_gens = oracle.power(k).gens
+                    assert not any(divides(g, a) for a in solved for g in power_gens)
+                    total += len(solved)
+        assert total >= 100
 
 
 class TestRebalanceEvenCycle:

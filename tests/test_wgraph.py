@@ -367,6 +367,18 @@ class TestClassifyCompact:
         with pytest.raises(GraphError, match="disconnected"):
             classify_compact(disjoint_union(triangle(), triangle()))
 
+    def test_disconnected_message_counts_components(self):
+        # Vertex 1 is isolated in the second graph, so reachability from it
+        # sees one vertex; the count still comes from every component.
+        cases = [
+            (disjoint_union(triangle(), triangle()), 2),
+            (build_graph(5, [(2, 3, 1), (3, 4, 1), (2, 4, 1)]), 3),
+        ]
+        for G, count in cases:
+            with pytest.raises(GraphError) as caught:
+                classify_compact(G)
+            assert str(caught.value) == f"graph is disconnected ({count} components)"
+
     def test_leaf_rejected(self):
         G = build_graph(4, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (3, 4, 1)])
         with pytest.raises(GraphError, match="leaf"):
