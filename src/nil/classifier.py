@@ -17,8 +17,10 @@ witness and can be checked against the LP oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
+from operator import attrgetter
 
 from .closure import (
     DEFAULT_BOX_BUDGET,
@@ -27,12 +29,10 @@ from .closure import (
     normality_scan,
 )
 from .errors import GraphError, IdealError, ResourceLimitError
-from .ideal import contains_power, edge_ideal
+from .ideal import _check_positive, contains_power, edge_ideal
 from .wgraph import WeightedGraph, disjoint_odd_pairs, odd_chordless_cycles
 
 DEFAULT_CONFIG_CAP = 1000
-
-_KINDS = ("F1", "F2", "F3", "F4", "F5")
 
 
 class CertificateError(ValueError):
@@ -191,24 +191,18 @@ def _embed(G, assignments):
 def _f1_f2_roles(G, config):
     """Pick (x1, x2, x3) with w(x1,x2) <= w(x2,x3) [<= w(x1,x3) for F2],
     lexicographically smallest among the valid role assignments."""
-    candidates = []
     if config.kind == "F1":
         e1, e2 = config.edges
         (center,) = set(e1[:2]) & set(e2[:2])
-        ends = []
-        for u, v, w in (e1, e2):
-            other = v if u == center else u
-            ends.append((other, w))
-        for (x1, wa), (x3, wb) in permutations(ends):
-            if wa <= wb:
-                candidates.append((x1, center, x3, wa, wb))
-    else:
-        for x1, x2, x3 in permutations(config.vertices):
-            a = G.weight(x1, x2)
-            b = G.weight(x2, x3)
-            c = G.weight(x1, x3)
-            if a <= b <= c:
-                candidates.append((x1, x2, x3, a, b))
+        # the lighter end is x1; on equal weights, the smaller label
+        (a, x1), (b, x3) = sorted((w, v if u == center else u) for u, v, w in (e1, e2))
+        return x1, center, x3, a, b
+    candidates = []
+    for x1, x2, x3 in permutations(config.vertices):
+        a = G.weight(x1, x2)
+        b = G.weight(x2, x3)
+        if a <= b <= G.weight(x1, x3):
+            candidates.append((x1, x2, x3, a, b))
     return min(candidates)
 
 
@@ -300,39 +294,38 @@ def classify(G, config_cap=DEFAULT_CONFIG_CAP):
     in priority order F1 > F2 > F3 > F4 > F5 (canonical order within a
     kind) whose witness formula applies; the fallback to F1/F2/F3 when an
     F4/F5 carries a nontrivial cycle edge is asserted to succeed.
+    config_cap, an exact int >= 0, caps the configurations kept per kind.
     """
+    if type(config_cap) is not int or config_cap < 0:
+        raise GraphError(f"config_cap must be an integer >= 0, got {config_cap!r}")
     if not G.edges:
         raise GraphError("classification needs at least one edge")
     odd = odd_chordless_cycles(G)
-    found = find_f1_f2_f3(G) + find_f4(G, odd) + find_f5(G, odd)
-    integrally_closed = not any(c.kind in ("F1", "F2", "F3") for c in found)
-    normal = not found
+    f123 = find_f1_f2_f3(G)
+    found = f123 + find_f4(G, odd) + find_f5(G, odd)  # grouped by kind, F1..F5
     notes = []
-
     capped = []
-    for kind in _KINDS:
-        of_kind = [c for c in found if c.kind == kind]
+    for kind, group in groupby(found, key=attrgetter("kind")):
+        of_kind = list(group)
         if len(of_kind) > config_cap:
             notes.append(f"{kind} list truncated to {config_cap} of {len(of_kind)}")
-            of_kind = of_kind[:config_cap]
-        capped.extend(of_kind)
+        capped += of_kind[:config_cap]
 
     primary = None
-    if found:
-        for config in found:  # already in priority order
-            try:
-                primary = build_certificate(G, config)
-                break
-            except CertificateError as exc:
-                notes.append(str(exc))
-        if primary is None:
-            raise RuntimeError(
-                "no certificate constructible from any found configuration; "
-                "the F1/F2/F3 fallback guarantee is violated"
-            )
+    for config in found:  # already in priority order
+        try:
+            primary = build_certificate(G, config)
+            break
+        except CertificateError as exc:
+            notes.append(str(exc))
+    if found and primary is None:
+        raise RuntimeError(
+            "no certificate constructible from any found configuration; "
+            "the F1/F2/F3 fallback guarantee is violated"
+        )
     return ClassificationReport(
-        integrally_closed=integrally_closed,
-        normal=normal,
+        integrally_closed=not f123,
+        normal=not found,
         found=tuple(capped),
         primary_certificate=primary,
         notes=tuple(notes),
@@ -387,27 +380,23 @@ _SCAN_BOUND_NOTE = (
 
 
 def _pair_index_maps(n, pairs):
+    """Per vertex permutation, the gather that relabels a weight tuple over
+    `pairs`: image = tuple([tup[j] for j in gather]).  The images under
+    all permutations are the tuple's orbit."""
     index = {p: i for i, p in enumerate(pairs)}
-    maps = []
-    for perm in permutations(range(1, n + 1)):
-        image = lambda v: perm[v - 1]  # noqa: E731
-        scatter = [0] * len(pairs)
-        for i, (u, v) in enumerate(pairs):
-            a, b = image(u), image(v)
-            scatter[i] = index[(a, b) if a < b else (b, a)]
-        maps.append(tuple(scatter))
-    return maps
-
-
-def _graph_from_tuple(n, pairs, tup):
-    return WeightedGraph(
-        n, [(u, v, w) for (u, v), w in zip(pairs, tup) if w]
-    )
+    return [
+        tuple(index[tuple(sorted((perm[u - 1], perm[v - 1])))] for u, v in pairs)
+        for perm in permutations(range(1, n + 1))
+    ]
 
 
 def graph_as_dict(G):
     """Plain-dict form of a graph, used in report payloads."""
     return {"vertices": G.n, "edges": [list(e) for e in G.edge_list()]}
+
+
+def _record(G, issue, **detail):
+    return {"graph": graph_as_dict(G), "issue": issue, **detail}
 
 
 def cross_validate(
@@ -418,15 +407,19 @@ def cross_validate(
 ):
     """Check the classifier against the LP oracle over a whole family.
 
-    For every labeled graph: the integral-closedness verdict must equal
+    One pass over the labelled graphs, in product order of their edge
+    weights, classifies each graph once.  The first graph of an
+    isomorphism class in that order is the class's representative, and
+    only it meets the oracle: its integral-closedness verdict must equal
     the oracle's answer at power 1; a "not normal" verdict must come with
     a certificate the oracle verifies; a "normal" verdict must survive
     normality_scan up to t_max, whose t = 1 step is also the power-1
-    check, so no power is scanned twice.  Oracle work is deduplicated by
-    canonical edge set (relabelings share one representative).  Any
-    disagreement is reported with the graph serialized; oracle resource
-    errors skip the class with a logged reason, never a silent pass.
+    check, so no power is scanned twice.  Every later graph of the class
+    must get the representative's verdicts.  Any disagreement is reported
+    with the graph serialized; oracle resource errors skip the class with
+    a logged reason, never a silent pass.
     """
+    _check_positive(family_budget, "family_budget")
     total = 0
     for n in range(2, family.max_vertices + 1):
         total += (len(family.weights) + 1) ** (n * (n - 1) // 2) - 1
@@ -438,108 +431,67 @@ def cross_validate(
 
     disagreements = []
     skipped = []
-    graphs_checked = 0
-    classes_checked = 0
-    normal_classes = 0
-    closed_not_normal = 0
-    not_closed = 0
+    graphs_checked = classes_checked = 0
+    tally = Counter()  # classes by verdicts; classify's "normal" implies closed
     states = (0,) + family.weights
 
     for n in range(2, family.max_vertices + 1):
         pairs = list(combinations(range(1, n + 1), 2))
-        scatters = _pair_index_maps(n, pairs)
-        rep_of = {}
-        reps = []
+        gathers = _pair_index_maps(n, pairs)
+        class_verdicts = {}  # labelled tuple -> its class's verdicts
         for tup in product(states, repeat=len(pairs)):
             if not any(tup):
                 continue
-            if tup in rep_of:
-                continue
-            reps.append(tup)
-            for scatter in scatters:
-                image = [0] * len(pairs)
-                for i, w in enumerate(tup):
-                    image[scatter[i]] = w
-                rep_of[tuple(image)] = tup
-
-        rep_verdicts = {}
-        for rep in reps:
-            G = _graph_from_tuple(n, pairs, rep)
+            G = WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, tup) if w])
             report = classify(G)
+            graphs_checked += 1
+            verdicts = (report.integrally_closed, report.normal)
+            canonical = class_verdicts.get(tup)
+            if canonical is not None:
+                if verdicts != canonical:
+                    disagreements.append(_record(
+                        G, "verdicts differ from canonical relabeling",
+                        labeled=verdicts, canonical=canonical,
+                    ))
+                continue
+            # the first graph of its class: the representative
             classes_checked += 1
-            entry = (report.integrally_closed, report.normal)
-            rep_verdicts[rep] = entry
+            for gather in gathers:
+                class_verdicts[tuple([tup[j] for j in gather])] = verdicts
             try:
                 I = edge_ideal(G)
                 if report.normal:
                     verdict = normality_scan(I, t_max=t_max, box_budget=box_budget)
                     oracle_closed = verdict.status != "counterexample" or verdict.t > 1
                 else:
-                    oracle_closed, _ = is_power_integrally_closed(
-                        I, 1, box_budget=box_budget
-                    )
-                if oracle_closed != report.integrally_closed:
-                    disagreements.append(
-                        {
-                            "graph": graph_as_dict(G),
-                            "issue": "integral-closedness verdicts differ",
-                            "classifier": report.integrally_closed,
-                            "oracle": oracle_closed,
-                        }
-                    )
-                    continue
-                if not report.normal:
-                    cert = verify_certificate(G, report.primary_certificate)
-                    if cert.verified == "unverified":
-                        skipped.append(
-                            {"graph": graph_as_dict(G), "reason": cert.note}
-                        )
-                    elif cert.verified != "verified":
-                        disagreements.append(
-                            {
-                                "graph": graph_as_dict(G),
-                                "issue": "certificate failed verification",
-                                "certificate": {
-                                    "kind": cert.config.kind,
-                                    "t": cert.t,
-                                    "witness": list(cert.witness),
-                                },
-                                "detail": cert.note,
-                            }
-                        )
-                elif verdict.status != "normal_up_to":
-                    disagreements.append(
-                        {
-                            "graph": graph_as_dict(G),
-                            "issue": "classifier says normal but oracle found a counterexample",
-                            "t": verdict.t,
-                            "witness": list(verdict.witness),
-                        }
-                    )
-                if report.integrally_closed and report.normal:
-                    normal_classes += 1
-                elif report.integrally_closed:
-                    closed_not_normal += 1
-                else:
-                    not_closed += 1
+                    oracle_closed, _ = is_power_integrally_closed(I, 1, box_budget=box_budget)
             except ResourceLimitError as exc:
                 skipped.append({"graph": graph_as_dict(G), "reason": str(exc)})
-
-        for tup, rep in rep_of.items():
-            graphs_checked += 1
-            if tup == rep:
                 continue
-            G = _graph_from_tuple(n, pairs, tup)
-            report = classify(G)
-            if (report.integrally_closed, report.normal) != rep_verdicts[rep]:
-                disagreements.append(
-                    {
-                        "graph": graph_as_dict(G),
-                        "issue": "verdicts differ from canonical relabeling",
-                        "labeled": (report.integrally_closed, report.normal),
-                        "canonical": rep_verdicts[rep],
-                    }
-                )
+            if oracle_closed != report.integrally_closed:
+                disagreements.append(_record(
+                    G, "integral-closedness verdicts differ",
+                    classifier=report.integrally_closed, oracle=oracle_closed,
+                ))
+                continue
+            if not report.normal:
+                cert = verify_certificate(G, report.primary_certificate)
+                if cert.verified == "unverified":
+                    skipped.append({"graph": graph_as_dict(G), "reason": cert.note})
+                elif cert.verified != "verified":
+                    disagreements.append(_record(
+                        G, "certificate failed verification",
+                        certificate={
+                            "kind": cert.config.kind, "t": cert.t, "witness": list(cert.witness)
+                        },
+                        detail=cert.note,
+                    ))
+            elif verdict.status != "normal_up_to":
+                disagreements.append(_record(
+                    G, "classifier says normal but oracle found a counterexample",
+                    t=verdict.t, witness=list(verdict.witness),
+                ))
+            tally[verdicts] += 1
 
     return CrossValidationReport(
         family=family,
@@ -548,8 +500,8 @@ def cross_validate(
         classes_checked=classes_checked,
         disagreements=tuple(disagreements),
         skipped=tuple(skipped),
-        normal_classes=normal_classes,
-        closed_not_normal_classes=closed_not_normal,
-        not_closed_classes=not_closed,
+        normal_classes=tally[True, True],
+        closed_not_normal_classes=tally[True, False],
+        not_closed_classes=tally[False, False],
         note=_SCAN_BOUND_NOTE,
     )

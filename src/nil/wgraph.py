@@ -41,11 +41,10 @@ class WeightedGraph:
         self.edges = {}
         self.adj = {v: set() for v in range(1, n + 1)}
         for item in edge_list:
-            if len(item) == 2:
-                u, v = item
-                w = 1
-            else:
-                u, v, w = item
+            try:
+                u, v, w = item if len(item) == 3 else (*item, 1)
+            except (TypeError, ValueError):
+                raise GraphError(f"an edge is (u, v) or (u, v, w), got {item!r}") from None
             if not (type(u) is int and type(v) is int):
                 raise GraphError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
             if u == v:
@@ -110,18 +109,18 @@ def induced_subgraph(G, V):
     Returns (H, label_map) where label_map sends old labels to new ones
     (sorted order of V becomes 1, 2, ...).
     """
-    V = sorted(set(V))
+    members = set()
     for v in V:
-        if not (1 <= v <= G.n):
-            raise GraphError(f"vertex {v} outside 1..{G.n}")
-    label_map = {old: new for new, old in enumerate(V, start=1)}
-    members = set(V)
+        if not (type(v) is int and 1 <= v <= G.n):
+            raise GraphError(f"vertex {v!r} outside 1..{G.n}")
+        members.add(v)
+    label_map = {old: new for new, old in enumerate(sorted(members), start=1)}
     new_edges = [
         (label_map[u], label_map[v], w)
         for (u, v), w in G.edges.items()
         if u in members and v in members
     ]
-    return WeightedGraph(len(V), new_edges), label_map
+    return WeightedGraph(len(members), new_edges), label_map
 
 
 def connected_components(G):

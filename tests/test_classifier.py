@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,7 +14,7 @@ from nil.classifier import (
     find_f5,
     verify_certificate,
 )
-from nil.errors import GraphError
+from nil.errors import GraphError, IdealError
 from nil.ideal import contains_power, edge_ideal
 from nil.wgraph import build_graph, odd_cycle_condition
 
@@ -175,6 +175,14 @@ class TestClassify:
         assert report.found == ()
         assert not report.normal  # verdict unaffected by the cap
         assert any("truncated" in note for note in report.notes)
+
+    def test_config_cap_must_be_an_exact_nonnegative_int(self):
+        # -1 once returned found=() with "F1 list truncated to -1 of 1"
+        G = build_graph(3, [(1, 2, 2), (2, 3, 2)])
+        for cap in (-1, None, True, 1.0, "5"):
+            with pytest.raises(GraphError, match="config_cap"):
+                classify(G, config_cap=cap)
+        assert len(classify(G, config_cap=1).found) == 1
 
 
 class TestCertificates:
@@ -441,6 +449,51 @@ class TestCrossValidate:
         assert report.graphs_checked == 1
         assert report.classes_checked == 1
         assert report.normal_classes == 1
+
+    def test_classify_runs_once_per_labelled_graph(self, monkeypatch):
+        import nil.classifier
+
+        original = nil.classifier.classify
+        seen = []
+
+        def spy(G):
+            seen.append((G.n, frozenset(G.edges.items())))
+            return original(G)
+
+        monkeypatch.setattr(nil.classifier, "classify", spy)
+        report = cross_validate(GraphFamily(4, (1, 2)), t_max=1)
+        assert report.agreed
+        assert len(seen) == len(set(seen)) == report.graphs_checked == 2 + 26 + 728
+
+    @pytest.mark.parametrize("weights, classes", [((1, 2), 76), ((1, 2, 3), 297)])
+    def test_classes_match_burnside(self, weights, classes):
+        # Burnside: the classes of weight tuples on the pairs of n vertices
+        # average, over the vertex permutations, states ** (cycles on pairs)
+        def class_count(n):
+            pairs = list(combinations(range(n), 2))
+            perms = list(permutations(range(n)))
+            fixed = 0
+            for perm in perms:
+                image = {(u, v): tuple(sorted((perm[u], perm[v]))) for u, v in pairs}
+                cycles, seen = 0, set()
+                for p in pairs:
+                    if p not in seen:
+                        cycles += 1
+                        while p not in seen:
+                            seen.add(p)
+                            p = image[p]
+                fixed += (len(weights) + 1) ** cycles
+            return fixed // len(perms) - 1  # less the empty graph
+
+        assert sum(class_count(n) for n in (2, 3, 4)) == classes
+        report = cross_validate(GraphFamily(4, weights), t_max=1)
+        assert report.agreed
+        assert report.classes_checked == classes
+
+    def test_rejects_a_bad_family_budget(self):
+        for budget in (None, "9", 0, -1, True, 1e7):
+            with pytest.raises(IdealError, match="family_budget"):
+                cross_validate(GraphFamily(2, (1,)), t_max=1, family_budget=budget)
 
     def test_family_budget(self):
         from nil.errors import ResourceLimitError

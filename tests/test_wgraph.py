@@ -94,6 +94,11 @@ class TestConstruction:
     def test_pair_defaults_to_weight_one(self):
         assert build_graph(2, [(1, 2)]).weight(1, 2) == 1
 
+    def test_edge_items_are_pairs_or_triples(self):
+        for item in (1, (1, 2, 1, 5), (1,), ()):
+            with pytest.raises(GraphError, match=r"\(u, v\) or \(u, v, w\)"):
+                WeightedGraph(3, [item])
+
 
 class TestInducedSubgraph:
     def test_triangle_to_edge(self):
@@ -124,6 +129,12 @@ class TestInducedSubgraph:
     def test_out_of_range(self):
         with pytest.raises(GraphError):
             induced_subgraph(triangle(), [1, 9])
+
+    def test_vertices_must_be_exact_ints(self):
+        # True and 1.0 once passed and keyed the label map by themselves
+        for V in (["a"], [True, 2], [1.0, 2], [2, IntEnum("V", "ONE TWO").TWO]):
+            with pytest.raises(GraphError, match="vertex"):
+                induced_subgraph(triangle(), V)
 
     def test_random_identity(self):
         rng = random.Random(7)
