@@ -30,7 +30,12 @@ from .closure import (
 )
 from .errors import GraphError, IdealError, ResourceLimitError
 from .ideal import _check_positive, contains_power, edge_ideal
-from .wgraph import WeightedGraph, disjoint_odd_pairs, odd_chordless_cycles
+from .wgraph import (
+    WeightedGraph,
+    disjoint_odd_pairs,
+    neighbour_masks,
+    odd_chordless_cycles,
+)
 
 DEFAULT_CONFIG_CAP = 1000
 
@@ -135,21 +140,31 @@ def find_f4(G, odd=None):
     `odd`, when given, is odd_chordless_cycles(G)."""
     if odd is None:
         odd = odd_chordless_cycles(G)
-    configs = []
     heavy_edges = G.nontrivial_edges()
+    if not (odd and heavy_edges):
+        return []
+    nbr = neighbour_masks(G)
+    ends = [(1 << u) | (1 << v) for u, v, _ in heavy_edges]
+    configs = []
     for cycle in odd:
         # the cycle's closed neighbourhood: the pendant must avoid it
-        closed = set(cycle).union(*(G.adj[x] for x in cycle))
-        for u, v, w in heavy_edges:
-            if u in closed or v in closed:
+        closed = 0
+        for x in cycle:
+            closed |= nbr[x] | (1 << x)
+        cycle_edges = None
+        for pendant, bits in zip(heavy_edges, ends):
+            if closed & bits:
                 continue
+            if cycle_edges is None:
+                cycle_edges = _cycle_edges(G, cycle)
+            u, v, _ = pendant
             configs.append(
                 ForbiddenConfig(
                     "F4",
                     vertices=tuple(sorted(cycle + (u, v))),
-                    edges=tuple(sorted(_cycle_edges(G, cycle) + ((u, v, w),))),
+                    edges=tuple(sorted(cycle_edges + (pendant,))),
                     cycles=(cycle,),
-                    pendant=(u, v, w),
+                    pendant=pendant,
                 )
             )
     configs.sort(key=lambda c: (c.vertices, c.edges))
@@ -162,17 +177,21 @@ def find_f5(G, odd=None):
     `odd`, when given, is odd_chordless_cycles(G)."""
     if odd is None:
         odd = odd_chordless_cycles(G)
+    if len(odd) < 2 or G.n < 6:
+        # no two disjoint odd cycles fit: skip building the barred edges
+        return []
+    light = (e for e, w in G.edges.items() if w == 1)
+    cycle_edges = {}
     configs = []
-    for c1, c2, cross in disjoint_odd_pairs(G, odd):
-        if any(w == 1 for (_, _, w) in cross):
-            continue
+    for c1, c2, cross in disjoint_odd_pairs(G, odd, barred=light):
+        for c in (c1, c2):
+            if c not in cycle_edges:
+                cycle_edges[c] = _cycle_edges(G, c)
         configs.append(
             ForbiddenConfig(
                 "F5",
                 vertices=tuple(sorted(c1 + c2)),
-                edges=tuple(
-                    sorted(_cycle_edges(G, c1) + _cycle_edges(G, c2) + tuple(cross))
-                ),
+                edges=tuple(sorted(cycle_edges[c1] + cycle_edges[c2] + tuple(cross))),
                 cycles=(c1, c2),
                 connectors=tuple(sorted(cross)),
             )

@@ -122,8 +122,41 @@ def parse_graph_file(path, fmt=None):
 # JSON payloads
 # ---------------------------------------------------------------------------
 
+# Every scalar but an exact int goes through the C encoder, which writes it
+# as json.dumps does; dict keys are str and take the same quoting.
+_encode_scalar = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
+_encode_key = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, newline="\n"):
+    """json.dumps(value, indent=2, sort_keys=True) for the report payloads:
+    dicts with str keys, lists, tuples, str, int, bool and None.
+
+    With `indent`, json.dumps takes the pure-Python encoder, which spends a
+    call per value; here a list of exact ints is one join.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if not [x for x in value if type(x) is not int]:
+            body = map(int.__repr__, value)
+        else:
+            body = [_dumps(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        body = [_encode_key(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if type(value) is int:
+        return int.__repr__(value)
+    return _encode_scalar(value)
+
+
 def _emit(payload):
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _config_payload(config):
@@ -237,15 +270,15 @@ def cmd_compact(args):
 def cmd_enumerate(args):
     if args.max_vertices < 2:
         raise GraphError("--max-vertices must be at least 2")
-    weights = tuple(args.weights)
     report = cross_validate(
-        GraphFamily(args.max_vertices, weights),
+        GraphFamily(args.max_vertices, args.weights),
         t_max=args.tmax,
         box_budget=args.box_budget,
     )
     _emit(
         {
-            "family": {"max_vertices": args.max_vertices, "weights": list(weights)},
+            # the family checked: its weights sorted, without repeats
+            "family": {"max_vertices": args.max_vertices, "weights": list(report.family.weights)},
             "t_max": args.tmax,
             "graphs_checked": report.graphs_checked,
             "classes_checked": report.classes_checked,

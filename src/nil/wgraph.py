@@ -204,6 +204,15 @@ def _odd_cycle_from_conflict(parent, u, v):
     return canonical_cycle(cycle)
 
 
+def neighbour_masks(G):
+    """nbr[v]: G's neighbours of v as a bitmask, bit u for vertex u."""
+    nbr = [0] * (G.n + 1)
+    for u, v in G.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
 def chordless_cycles(G, max_count=DEFAULT_CYCLE_CAP):
     """All chordless (induced) cycles, canonical form, sorted.
 
@@ -212,45 +221,49 @@ def chordless_cycles(G, max_count=DEFAULT_CYCLE_CAP):
     in between.  Raises ResourceLimitError past `max_count` cycles.
     """
     cycles = []
-    adj = G.adj
-    # touch[y]: how many interior path vertices (all but both ends) are
-    # adjacent to y; y may join the path only while it is 0.  The path is
-    # extended with an explicit stack, so its length is not bounded by the
-    # recursion limit.
-    touch = [0] * (G.n + 1)
-
+    nbr = neighbour_masks(G)
     for a in G.vertices():
-        anchor_adj = adj[a]
-        for b in sorted(anchor_adj):
-            if b < a:
-                continue
-            path = [a, b]
-            members = {a, b}
-            stack = [iter(sorted(adj[b]))]
+        anchor = nbr[a]
+        below = (1 << (a + 1)) - 1  # vertices <= a
+        seconds = anchor & ~below
+        while seconds:
+            low = seconds & -seconds
+            seconds ^= low
+            b = low.bit_length() - 1
+            # a vertex adjacent to the anchor closes the path into a cycle;
+            # the canonical form needs it above the second vertex
+            closing = anchor & ~((low << 1) - 1)
+            # A frame holds the vertices still to try as the path's next
+            # vertex y, and `blocked`: the vertices <= a, the path through
+            # y, and the neighbours of the path's interior once y has
+            # joined.  y's candidates are nbr[y] & ~blocked.  The stack is
+            # explicit, so the path's length is not bounded by the
+            # recursion limit.
+            path = [a]
+            stack = [(low, below | low)]
             while stack:
-                for y in stack[-1]:
-                    if y <= a or y in members or touch[y]:
-                        continue
-                    if y in anchor_adj:
-                        if path[1] < y:
-                            cycles.append(tuple(path) + (y,))
-                            if len(cycles) > max_count:
-                                raise ResourceLimitError(
-                                    f"chordless cycle count exceeds cap {max_count}"
-                                )
-                        continue
-                    for z in adj[path[-1]]:
-                        touch[z] += 1
-                    path.append(y)
-                    members.add(y)
-                    stack.append(iter(sorted(adj[y])))
-                    break
-                else:
+                todo, blocked = stack[-1]
+                if not todo:
                     stack.pop()
-                    if stack:
-                        members.remove(path.pop())
-                        for z in adj[path[-1]]:
-                            touch[z] -= 1
+                    path.pop()
+                    continue
+                low = todo & -todo
+                stack[-1] = (todo ^ low, blocked)
+                y = low.bit_length() - 1
+                path.append(y)
+                candidates = nbr[y] & ~blocked
+                closers = candidates & closing
+                while closers:
+                    low = closers & -closers
+                    closers ^= low
+                    cycles.append((*path, low.bit_length() - 1))
+                if len(cycles) > max_count:
+                    raise ResourceLimitError(f"chordless cycle count exceeds cap {max_count}")
+                extend = candidates & ~anchor
+                if extend:
+                    stack.append((extend, blocked | nbr[y]))
+                else:
+                    path.pop()
     cycles.sort(key=lambda c: (len(c), c))
     return cycles
 
@@ -340,15 +353,38 @@ def odd_chordless_cycles(G):
     return [c for c in chordless_cycles(G) if len(c) % 2 == 1]
 
 
-def disjoint_odd_pairs(G, odd):
+def disjoint_odd_pairs(G, odd, barred=()):
     """Yield (c1, c2, cross) for every two vertex-disjoint cycles of `odd`,
-    c1 listed before c2; cross lists the (u, v, w) edges, u < v, joining them."""
+    c1 listed before c2, that no edge of `barred` joins; cross lists the
+    (u, v, w) edges, u < v, joining them.
+
+    `barred` holds (u, v) edges.  A pair is rejected by one AND of c2's
+    vertex mask against c1's, widened by the vertices that c1's barred
+    edges reach, and `cross` is built only for the pairs yielded.
+    """
+    # two vertex-disjoint cycles need two cycles and six vertices
+    if len(odd) < 2 or G.n < 6:
+        return
+    reach = [0] * (G.n + 1)
+    for u, v in barred:
+        reach[u] |= 1 << v
+        reach[v] |= 1 << u
+    masks = []
+    for c in odd:
+        mask = 0
+        for x in c:
+            mask |= 1 << x
+        masks.append(mask)
+    adj = G.adj
     for i, c1 in enumerate(odd):
-        s1 = set(c1)
-        for c2 in odd[i + 1 :]:
-            if s1.isdisjoint(c2):
+        reject = masks[i]
+        for x in c1:
+            reject |= reach[x]
+        for j in range(i + 1, len(odd)):
+            if not masks[j] & reject:
+                c2 = odd[j]
                 yield c1, c2, [
-                    (min(x, y), max(x, y), G.weight(x, y)) for x in c1 for y in c2 if y in G.adj[x]
+                    (min(x, y), max(x, y), G.weight(x, y)) for x in c1 for y in c2 if y in adj[x]
                 ]
 
 
@@ -359,9 +395,8 @@ def odd_cycle_condition(G):
     Only chordless odd cycles need checking: every odd cycle contains a
     chordless odd cycle on a subset of its vertices.
     """
-    for c1, c2, cross in disjoint_odd_pairs(G, odd_chordless_cycles(G)):
-        if not cross:
-            return False, (c1, c2)
+    for c1, c2, _ in disjoint_odd_pairs(G, odd_chordless_cycles(G), barred=G.edges):
+        return False, (c1, c2)
     return True, None
 
 

@@ -7,7 +7,11 @@ logic.  Slow is fine; these run on tiny inputs.  The one exception is
 fraction_simplex, the library's pivot rules over Fractions, which pins the
 integer-preserving simplex to the same pivots and the same answers; and
 product_scan, the closure scan's walk of the whole box, which pins the
-staircase walk to the same solves, cuts and results.
+staircase walk to the same solves, cuts and results; and the set-based
+cycle layer (reference_chordless_cycles, reference_disjoint_odd_pairs and
+the finders and checks built on it), which pins the bitmask cycle layer
+to the same cycles, pairs and configurations on graphs too large for the
+subset scans.
 
 The file also holds the small graph helpers and seeded generators that
 only the tests use.
@@ -20,8 +24,8 @@ from math import prod
 from operator import mul
 
 import nil.closure
-from nil.classifier import graph_as_dict
-from nil.errors import GraphError
+from nil.classifier import ForbiddenConfig, _cycle_edges, graph_as_dict
+from nil.errors import GraphError, ResourceLimitError
 from nil.ideal import MonomialIdeal, divides, minimalize
 from nil.wgraph import WeightedGraph, canonical_cycle, induced_subgraph
 
@@ -208,6 +212,119 @@ def product_scan(oracle, k, witness_only=False):
                 if ceiling <= min_degree:
                     break
     return found, failures
+
+
+# ---------------------------------------------------------------------------
+# The cycle layer on vertex sets
+# ---------------------------------------------------------------------------
+
+def reference_chordless_cycles(G, max_count=10**6):
+    """wgraph.chordless_cycles by path extension over vertex sets.
+
+    touch[y] counts the interior path vertices (all but both ends) adjacent
+    to y; y may join the path only while it is 0.  Candidates are tried in
+    sorted order.
+    """
+    cycles = []
+    adj = G.adj
+    touch = [0] * (G.n + 1)
+    for a in G.vertices():
+        anchor_adj = adj[a]
+        for b in sorted(anchor_adj):
+            if b < a:
+                continue
+            path = [a, b]
+            members = {a, b}
+            stack = [iter(sorted(adj[b]))]
+            while stack:
+                for y in stack[-1]:
+                    if y <= a or y in members or touch[y]:
+                        continue
+                    if y in anchor_adj:
+                        if path[1] < y:
+                            cycles.append(tuple(path) + (y,))
+                            if len(cycles) > max_count:
+                                raise ResourceLimitError(
+                                    f"chordless cycle count exceeds cap {max_count}"
+                                )
+                        continue
+                    for z in adj[path[-1]]:
+                        touch[z] += 1
+                    path.append(y)
+                    members.add(y)
+                    stack.append(iter(sorted(adj[y])))
+                    break
+                else:
+                    stack.pop()
+                    if stack:
+                        members.remove(path.pop())
+                        for z in adj[path[-1]]:
+                            touch[z] -= 1
+    cycles.sort(key=lambda c: (len(c), c))
+    return cycles
+
+
+def reference_disjoint_odd_pairs(G, odd):
+    """(c1, c2, cross) for every two vertex-disjoint cycles of `odd`, by set
+    intersection, with cross built for every pair."""
+    for i, c1 in enumerate(odd):
+        s1 = set(c1)
+        for c2 in odd[i + 1 :]:
+            if s1.isdisjoint(c2):
+                yield c1, c2, [
+                    (min(x, y), max(x, y), G.weight(x, y)) for x in c1 for y in c2 if y in G.adj[x]
+                ]
+
+
+def reference_odd_cycle_condition(G):
+    odd = [c for c in reference_chordless_cycles(G) if len(c) % 2 == 1]
+    for c1, c2, cross in reference_disjoint_odd_pairs(G, odd):
+        if not cross:
+            return False, (c1, c2)
+    return True, None
+
+
+def reference_find_f4(G, odd):
+    """classifier.find_f4 with the closed neighbourhood as a vertex set."""
+    configs = []
+    for cycle in odd:
+        closed = set(cycle).union(*(G.adj[x] for x in cycle))
+        for u, v, w in G.nontrivial_edges():
+            if u in closed or v in closed:
+                continue
+            configs.append(
+                ForbiddenConfig(
+                    "F4",
+                    vertices=tuple(sorted(cycle + (u, v))),
+                    edges=tuple(sorted(_cycle_edges(G, cycle) + ((u, v, w),))),
+                    cycles=(cycle,),
+                    pendant=(u, v, w),
+                )
+            )
+    configs.sort(key=lambda c: (c.vertices, c.edges))
+    return configs
+
+
+def reference_find_f5(G, odd):
+    """classifier.find_f5 over every disjoint pair, dropping those with a
+    weight-1 connector."""
+    configs = []
+    for c1, c2, cross in reference_disjoint_odd_pairs(G, odd):
+        if any(w == 1 for (_, _, w) in cross):
+            continue
+        configs.append(
+            ForbiddenConfig(
+                "F5",
+                vertices=tuple(sorted(c1 + c2)),
+                edges=tuple(
+                    sorted(_cycle_edges(G, c1) + _cycle_edges(G, c2) + tuple(cross))
+                ),
+                cycles=(c1, c2),
+                connectors=tuple(sorted(cross)),
+            )
+        )
+    configs.sort(key=lambda c: (c.vertices, c.edges))
+    return configs
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +542,15 @@ def random_graph(rng, n_min=2, n_max=6, weights=(1, 2, 3), p=0.5):
         if rng.random() < p:
             edges.append((u, v, rng.choice(weights)))
     return WeightedGraph(n, edges)
+
+
+def random_sparse_graph(rng, n_min=12, n_max=28, p=0.15, heavy=0.25):
+    """A uniform random graph on n_min..n_max vertices with round(p * C(n, 2))
+    edges, round(heavy * edges) of them of weight 2 and the rest of weight 1."""
+    n = rng.randint(n_min, n_max)
+    pairs = rng.sample(list(combinations(range(1, n + 1), 2)), max(1, round(p * n * (n - 1) / 2)))
+    heavy_count = round(heavy * len(pairs))
+    return WeightedGraph(n, [(u, v, 2 if i < heavy_count else 1) for i, (u, v) in enumerate(pairs)])
 
 
 def random_graph_with_edge(rng, **kwargs):

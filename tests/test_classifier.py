@@ -24,6 +24,10 @@ from _oracles import (
     finder_keys,
     random_graph,
     random_graph_with_edge,
+    random_sparse_graph,
+    reference_chordless_cycles,
+    reference_find_f4,
+    reference_find_f5,
     remove_edge,
 )
 
@@ -109,6 +113,22 @@ class TestFinders:
             expected = brute_forbidden(G)
             got = finder_keys(find_f1_f2_f3(G) + find_f4(G) + find_f5(G))
             assert got == expected
+
+    def test_sparse_graphs_match_the_set_based_finders(self):
+        # graphs like the classify benchmark's: 12-28 vertices, p = 0.15,
+        # a quarter of the edges heavy; the lists must agree in order
+        rng = random.Random(103)
+        f4 = f5 = 0
+        for _ in range(150):
+            G = random_sparse_graph(rng)
+            odd = [c for c in reference_chordless_cycles(G) if len(c) % 2 == 1]
+            configs = find_f4(G)
+            assert configs == reference_find_f4(G, odd)
+            f4 += len(configs)
+            configs = find_f5(G)
+            assert configs == reference_find_f5(G, odd)
+            f5 += len(configs)
+        assert f4 > 1000 and f5 > 500
 
 
 class TestClassify:

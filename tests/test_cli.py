@@ -5,11 +5,12 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nil.classifier import GraphFamily, cross_validate
 from nil.cli import (
+    _dumps,
     build_parser,
     main,
     parse_graph_file,
@@ -370,6 +371,16 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["enumerate", "--weights", "1,x"])
 
+    def test_enumerate_reports_the_family_it_checked(self, capsys):
+        # GraphFamily sorts the weights and drops repeats; the report names
+        # that family, so both spellings give the same bytes
+        outputs = []
+        for weights in ("2,1,1", "1,2"):
+            assert main(["enumerate", "--max-vertices", "3", "--weights", weights, "--tmax", "1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert json.loads(outputs[0])["family"] == {"max_vertices": 3, "weights": [1, 2]}
+        assert outputs[0] == outputs[1]
+
 
 class TestDeterminism:
     def test_byte_for_byte_stable(self, f4_file, capsys):
@@ -480,3 +491,68 @@ class TestFuzz:
             with open(path, "wb") as fh:
                 fh.write(data)
             assert main(["classify", path]) in {0, 2, 3, 10, 11}
+
+
+# Strings mix any code point with surrogates and control characters, which
+# json.dumps escapes.
+_CHARS = st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(categories=["Cs"]),
+    st.characters(max_codepoint=0x1F),
+)
+_STRINGS = st.text(_CHARS, max_size=6)
+_INTS = st.one_of(st.integers(), st.integers(min_value=-(2**80), max_value=2**80))
+_DOCS = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        _INTS,
+        _STRINGS,
+        # the encoder joins lists of exact ints; a bool among them is not one
+        st.lists(st.one_of(_INTS, st.booleans()), max_size=5),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestEncoder:
+    @settings(max_examples=500, deadline=None)
+    @given(_DOCS)
+    @example({"a": [1, True, 0, False], "b": (), "c": {}, "d": [[]], "\ud800\x00é": None})
+    @example([-(2**70), 2**70, 0])
+    def test_matches_json_dumps(self, doc):
+        assert _dumps(doc) + "\n" == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def test_every_report_matches_json_dumps(self, tmp_path, monkeypatch, capsys):
+        import nil.cli
+
+        # two triangles joined by a weight-2 edge: F5, with a connector
+        f5_file = tmp_path / "f5.txt"
+        f5_file.write_text(
+            "vertices 6\nedge 1 2\nedge 2 3\nedge 1 3\nedge 4 5\nedge 5 6\nedge 4 6\nedge 1 4 2\n"
+        )
+        f1_file = tmp_path / "f1.txt"
+        f1_file.write_text(F1_TEXT)
+        requests = [
+            ["classify", str(f5_file), "--verify"],
+            ["classify", str(f1_file), "--no-certificates"],
+            ["closure", str(f1_file), "2"],
+            ["normality", str(f5_file), "--tmax", "1"],
+            ["normality", str(f1_file)],
+            ["compact", str(f5_file)],
+            ["enumerate", "--max-vertices", "3", "--weights", "1,2", "--tmax", "1"],
+        ]
+        payloads = []
+        emit = nil.cli._emit
+        monkeypatch.setattr(nil.cli, "_emit", lambda p: (payloads.append(p), emit(p)))
+        for argv in requests:
+            main(argv)
+            assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+        assert len(payloads) == len(requests)
+        assert [c["kind"] for c in payloads[0]["configs"]] == ["F5"]
+        assert payloads[0]["certificate"]["verified"] == "verified"

@@ -30,6 +30,10 @@ from _oracles import (
     is_cycle_of,
     random_cactus,
     random_graph,
+    random_sparse_graph,
+    reference_chordless_cycles,
+    reference_disjoint_odd_pairs,
+    reference_odd_cycle_condition,
     remove_edge,
 )
 
@@ -226,6 +230,36 @@ class TestChordlessCycles:
         with pytest.raises(ResourceLimitError, match="cap 3"):
             chordless_cycles(G, max_count=3)
 
+    def test_sparse_graphs_match_the_set_based_layer(self):
+        # graphs like the classify benchmark's: 12-28 vertices, p = 0.15
+        rng = random.Random(41)
+        held = 0
+        for _ in range(150):
+            G = random_sparse_graph(rng)
+            cycles = reference_chordless_cycles(G)
+            assert chordless_cycles(G) == cycles
+            odd = [c for c in cycles if len(c) % 2 == 1]
+            assert list(disjoint_odd_pairs(G, odd)) == list(reference_disjoint_odd_pairs(G, odd))
+            verdict = odd_cycle_condition(G)
+            assert verdict == reference_odd_cycle_condition(G)
+            held += verdict[0]
+        assert 20 < held < 130  # both verdicts are exercised
+
+    def test_cap_raises_at_the_same_count(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            G = random_sparse_graph(rng, n_max=20)
+            count = len(reference_chordless_cycles(G))
+            if not count:
+                continue
+            assert len(chordless_cycles(G, max_count=count)) == count
+            for cap in (count - 1, count // 2):
+                with pytest.raises(ResourceLimitError) as ours:
+                    chordless_cycles(G, max_count=cap)
+                with pytest.raises(ResourceLimitError) as theirs:
+                    reference_chordless_cycles(G, max_count=cap)
+                assert str(ours.value) == str(theirs.value)
+
 
 class TestEvenCycle:
     def test_four_cycle(self):
@@ -269,6 +303,22 @@ class TestOddCycleCondition:
         odd = odd_chordless_cycles(G)
         assert odd == [(1, 2, 3), (4, 5, 6)]
         assert list(disjoint_odd_pairs(G, odd)) == [((1, 2, 3), (4, 5, 6), [(1, 4, 1)])]
+
+    def test_barred_edges_reject_pairs(self):
+        rng = random.Random(47)
+        yielded = 0
+        for _ in range(60):
+            G = random_sparse_graph(rng, n_max=20)
+            odd = odd_chordless_cycles(G)
+            barred = {e for e in G.edges if rng.random() < 0.5}
+            expected = [
+                (c1, c2, cross)
+                for c1, c2, cross in reference_disjoint_odd_pairs(G, odd)
+                if not any((u, v) in barred for u, v, _ in cross)
+            ]
+            assert list(disjoint_odd_pairs(G, odd, barred=barred)) == expected
+            yielded += len(expected)
+        assert yielded
 
     def test_bipartite_vacuous(self):
         assert odd_cycle_condition(cycle_graph(8)) == (True, None)
