@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .classifier import (
+    ForbiddenConfig,
     GraphFamily,
     classify,
     cross_validate,
@@ -45,11 +46,24 @@ ENV_BOX_BUDGET = "NIL_BOX_BUDGET"
 # Graph files
 # ---------------------------------------------------------------------------
 
-def _parse_int(text, lineno, what):
-    try:
+def _exact_int(text):
+    """The int that `text` spells as ASCII `[+-]?[0-9]+`, else None.
+
+    int() alone also reads `1_0` as 10, other scripts' digits (`٢` as 2)
+    and surrounding whitespace.
+    """
+    if text.isdigit() and text.isascii():
         return int(text)
-    except ValueError:
-        raise GraphFileError(f"{what} must be an integer, got {text!r}", lineno) from None
+    if text[:1] in ("+", "-") and text[1:].isdigit() and text[1:].isascii():
+        return int(text)
+    return None
+
+
+def _parse_int(text, lineno, what):
+    value = _exact_int(text)
+    if value is None:
+        raise GraphFileError(f"{what} must be an integer, got {text!r}", lineno)
+    return value
 
 
 def parse_graph_text(text):
@@ -128,13 +142,24 @@ _encode_scalar = json.JSONEncoder(sort_keys=True, separators=(",", ": ")).encode
 _encode_key = json.encoder.encode_basestring_ascii
 
 
-def _dumps(value, newline="\n"):
+def _dumps(value):
     """json.dumps(value, indent=2, sort_keys=True) for the report payloads:
-    dicts with str keys, lists, tuples, str, int, bool and None.
+    dicts with str keys, lists, tuples, str, int, bool, None and
+    `ForbiddenConfig` records.
 
     With `indent`, json.dumps takes the pure-Python encoder, which spends a
-    call per value; here a list of exact ints is one join.
+    call per value; here a list of exact ints is one join. A record is
+    written straight from its fields, in the layout of
+    `tests/_oracles.py::reference_config_payload`. Its int rows (edges,
+    cycles, pendant, vertices) recur from record to record, so each row is
+    rendered once per call at each indent and its text reused.
     """
+    return _write(value, "\n", {})
+
+
+def _write(value, newline, rows):
+    # `newline` starts each line at this value's own depth; `rows` maps
+    # (row, newline) to the text of a record row written there.
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -142,36 +167,61 @@ def _dumps(value, newline="\n"):
         if not [x for x in value if type(x) is not int]:
             body = map(int.__repr__, value)
         else:
-            body = [_dumps(x, inner) for x in value]
+            body = [_write(x, inner, rows) for x in value]
         return "[" + inner + ("," + inner).join(body) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
-        body = [_encode_key(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items())]
+        body = [_encode_key(k) + ": " + _write(v, inner, rows) for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(body) + newline + "}"
     if type(value) is int:
         return int.__repr__(value)
+    if type(value) is ForbiddenConfig:
+        return _write_record(value, newline, rows)
     return _encode_scalar(value)
 
 
-def _emit(payload):
-    sys.stdout.write(_dumps(payload) + "\n")
-
-
-def _config_payload(config):
-    out = {
-        "kind": config.kind,
-        "vertices": list(config.vertices),
-        "edges": [list(e) for e in config.edges],
-    }
-    if config.cycles:
-        out["cycles"] = [list(c) for c in config.cycles]
-    if config.pendant is not None:
-        out["pendant"] = list(config.pendant)
+def _write_record(config, newline, rows):
+    # Keys in sorted order. `connectors` is written for every F5, even when
+    # empty; `cycles` only when there are any, `pendant` only when set.
+    inner = newline + "  "
+    body = []
     if config.kind == "F5":
-        out["connectors"] = [list(e) for e in config.connectors]
-    return out
+        body.append('"connectors": ' + _rows(config.connectors, inner, rows))
+    if config.cycles:
+        body.append('"cycles": ' + _rows(config.cycles, inner, rows))
+    body.append('"edges": ' + _rows(config.edges, inner, rows))
+    body.append('"kind": ' + _encode_key(config.kind))
+    if config.pendant is not None:
+        body.append('"pendant": ' + _row(config.pendant, inner, rows))
+    body.append('"vertices": ' + _row(config.vertices, inner, rows))
+    return "{" + inner + ("," + inner).join(body) + newline + "}"
+
+
+def _rows(items, newline, rows):
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join([_row(r, inner, rows) for r in items]) + newline + "]"
+
+
+def _row(row, newline, rows):
+    # A record row is a non-empty tuple of exact ints (WeightedGraph's
+    # rule), so the tuple can key the memo: no bool can pose as an int in it.
+    key = (row, newline)
+    text = rows.get(key)
+    if text is None:
+        inner = newline + "  "
+        text = rows[key] = "[" + inner + ("," + inner).join(map(int.__repr__, row)) + newline + "]"
+    return text
+
+
+def _emit(payload):
+    # The newline goes out on its own: appending it would copy the whole
+    # report once more, and the longest run to megabytes.
+    sys.stdout.write(_dumps(payload))
+    sys.stdout.write("\n")
 
 
 def _certificate_payload(cert):
@@ -206,7 +256,7 @@ def cmd_classify(args):
         "graph": graph_as_dict(G),
         "integrally_closed": report.integrally_closed,
         "normal": report.normal,
-        "configs": [_config_payload(c) for c in report.found],
+        "configs": list(report.found),
         "certificate": None,
         "notes": list(report.notes),
     }
@@ -311,11 +361,8 @@ def _default_box_budget():
     raw = os.environ.get(ENV_BOX_BUDGET)
     if raw is None:
         return DEFAULT_BOX_BUDGET
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
+    value = _exact_int(raw)
+    if value is None or value < 1:
         raise GraphError(f"{ENV_BOX_BUDGET} must be a positive integer, got {raw!r}")
     return value
 

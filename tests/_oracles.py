@@ -11,7 +11,9 @@ staircase walk to the same solves, cuts and results; and the set-based
 cycle layer (reference_chordless_cycles, reference_disjoint_odd_pairs and
 the finders and checks built on it), which pins the bitmask cycle layer
 to the same cycles, pairs and configurations on graphs too large for the
-subset scans.
+subset scans.  reference_config_payload lays out a configuration record as
+the reports of `nil classify` hold it; json.dumps over it is the reference
+for the CLI's record writer.
 
 The file also holds the small graph helpers and seeded generators that
 only the tests use.
@@ -492,6 +494,25 @@ def finder_keys(configs):
                 frozenset((frozenset(c.cycles[0]), frozenset(c.cycles[1])))
             )
     return keys
+
+
+def reference_config_payload(config):
+    """A ForbiddenConfig as the dict a `nil classify` report lists; pass it
+    as json.dumps(..., default=reference_config_payload)."""
+    if not isinstance(config, ForbiddenConfig):
+        raise TypeError(f"not a ForbiddenConfig: {config!r}")
+    out = {
+        "kind": config.kind,
+        "vertices": list(config.vertices),
+        "edges": [list(e) for e in config.edges],
+    }
+    if config.cycles:
+        out["cycles"] = [list(c) for c in config.cycles]
+    if config.pendant is not None:
+        out["pendant"] = list(config.pendant)
+    if config.kind == "F5":
+        out["connectors"] = [list(e) for e in config.connectors]
+    return out
 
 
 # ---------------------------------------------------------------------------

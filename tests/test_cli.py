@@ -20,7 +20,7 @@ from nil.cli import (
 from nil.errors import GraphError, GraphFileError
 from nil.wgraph import build_graph
 
-from _oracles import random_graph, serialize_graph
+from _oracles import random_graph, random_sparse_graph, reference_config_payload, serialize_graph
 
 F1_TEXT = "vertices 3\nedge 1 2 2\nedge 2 3 2\n"
 F4_TEXT = "vertices 5\nedge 1 2\nedge 2 3\nedge 1 3\nedge 4 5 2\n"
@@ -70,6 +70,18 @@ class TestParsing:
     def test_bad_integer(self):
         with pytest.raises(GraphFileError, match="line 2"):
             parse_graph_text("vertices 2\nedge 1 two")
+
+    def test_integers_are_ascii_digits(self):
+        # int() alone read `1_0` as 10 and the Arabic-Indic digit two as 2
+        for token in ("1_0", "\u0662", "\u00b2", "0x2", "+-2", "2.0"):
+            with pytest.raises(GraphFileError, match="line 3: weight must be an integer"):
+                parse_graph_text(f"vertices 3\nedge 1 2\nedge 2 3 {token}\n")
+            with pytest.raises(GraphFileError, match="line 2: endpoint must be an integer"):
+                parse_graph_text(f"vertices 3\nedge {token} 3\n")
+            with pytest.raises(GraphFileError, match="line 1: vertex count must be an integer"):
+                parse_graph_text(f"vertices {token}\n")
+        G = parse_graph_text("vertices +3\nedge 1 2 +2\nedge 2 3 0002\n")
+        assert G == build_graph(3, [(1, 2, 2), (2, 3, 2)])
 
     def test_validation_surfaced(self):
         with pytest.raises(GraphError, match="self-loop"):
@@ -207,6 +219,21 @@ class TestExitCodes:
         capsys.readouterr()
         monkeypatch.setenv("NIL_BOX_BUDGET", "junk")
         assert main(["normality", f4_file]) == 2
+
+    def test_graph_file_integers_exit_two(self, tmp_path, capsys):
+        for token in ("1_0", "\u0662"):
+            path = tmp_path / "g.txt"
+            path.write_text(f"vertices 3\nedge 1 2 1\nedge 2 3 {token}\n", encoding="utf-8")
+            assert main(["classify", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: line 3: weight must be an integer")
+
+    def test_env_budget_is_ascii_digits(self, f4_file, capsys, monkeypatch):
+        for raw in ("1_000_000", "\u0665", " 5", "5 ", ""):
+            monkeypatch.setenv("NIL_BOX_BUDGET", raw)
+            assert main(["normality", f4_file]) == 2
+            assert "NIL_BOX_BUDGET must be a positive integer" in capsys.readouterr().err
+        monkeypatch.setenv("NIL_BOX_BUDGET", "+5")
+        assert main(["normality", f4_file]) == 3
 
     def test_commands_without_a_scan_ignore_the_budget(self, f1_file, capsys, monkeypatch):
         monkeypatch.setenv("NIL_BOX_BUDGET", "junk")
@@ -552,7 +579,74 @@ class TestEncoder:
         monkeypatch.setattr(nil.cli, "_emit", lambda p: (payloads.append(p), emit(p)))
         for argv in requests:
             main(argv)
-            assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+            assert capsys.readouterr().out == json.dumps(
+                payloads[-1], indent=2, sort_keys=True, default=reference_config_payload
+            ) + "\n"
         assert len(payloads) == len(requests)
-        assert [c["kind"] for c in payloads[0]["configs"]] == ["F5"]
+        assert [c.kind for c in payloads[0]["configs"]] == ["F5"]
         assert payloads[0]["certificate"]["verified"] == "verified"
+
+
+class TestRecordWriter:
+    """`nil classify` writes its configuration records from their fields;
+    the reference is json.dumps over reference_config_payload."""
+
+    @pytest.fixture
+    def classify_matches_reference(self, tmp_path, monkeypatch, capsys):
+        import nil.cli
+
+        payloads = []
+        emit = nil.cli._emit
+        monkeypatch.setattr(nil.cli, "_emit", lambda p: (payloads.append(p), emit(p)))
+
+        def check(G, *flags):
+            path = tmp_path / "g.txt"
+            path.write_text(serialize_graph(G))
+            main(["classify", str(path), *flags])
+            out = capsys.readouterr().out
+            expected = json.dumps(
+                payloads[-1], indent=2, sort_keys=True, default=reference_config_payload
+            )
+            assert out == expected + "\n"
+            return json.loads(out)
+
+        return check
+
+    def test_sparse_graphs(self, classify_matches_reference):
+        rng = random.Random(107)
+        kinds = set()
+        pendants = 0
+        for _ in range(150):
+            G = random_sparse_graph(rng)
+            report = classify_matches_reference(G)
+            assert report == classify_matches_reference(G, "--no-certificates") | {
+                "certificate": report["certificate"]
+            }
+            kinds.update(c["kind"] for c in report["configs"])
+            pendants += sum("pendant" in c for c in report["configs"])
+        # F4 records repeat their cycle's rows with each pendant, which in
+        # turn recurs in the record's own edges one indent deeper
+        assert kinds == {"F1", "F2", "F3", "F4", "F5"}
+        assert pendants > 1000
+
+    def test_f5_with_no_connector(self, classify_matches_reference):
+        G = build_graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+        report = classify_matches_reference(G, "--verify")
+        assert [(c["kind"], c["connectors"]) for c in report["configs"]] == [("F5", [])]
+        assert report["certificate"]["verified"] == "verified"
+
+    def test_truncated_report(self, classify_matches_reference):
+        # a triangle beside a weight-2 star with 46 leaves: C(46, 2) F1s
+        # and an F4 for every star edge
+        star = [(7, 7 + i, 2) for i in range(1, 47)]
+        G = build_graph(53, [(1, 2), (2, 3), (1, 3), *star])
+        report = classify_matches_reference(G, "--verify")
+        assert report["notes"] == ["F1 list truncated to 1000 of 1035"]
+        assert [c["kind"] for c in report["configs"]].count("F4") == 46
+        assert report["certificate"]["verified"] == "verified"
+
+    def test_verified_certificates(self, classify_matches_reference):
+        rng = random.Random(109)
+        for _ in range(20):
+            G = random_graph(rng, n_min=3, n_max=7, weights=(1, 2, 3))
+            classify_matches_reference(G, "--verify")
