@@ -59,7 +59,6 @@ from .wgraph import (
     induced_subgraph,
     is_bipartite,
     odd_cycle_condition,
-    trivial_leaves,
 )
 
 __version__ = "0.1.0"
@@ -107,6 +106,5 @@ __all__ = [
     "rebalance_even_cycle",
     "restrict",
     "support",
-    "trivial_leaves",
     "verify_certificate",
 ]

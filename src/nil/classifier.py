@@ -33,7 +33,6 @@ from .ideal import _check_positive, contains_power, edge_ideal
 from .wgraph import (
     WeightedGraph,
     disjoint_odd_pairs,
-    neighbour_masks,
     odd_chordless_cycles,
 )
 
@@ -94,11 +93,17 @@ def _edge_triple(G, u, v):
 
 def find_f1_f2_f3(G):
     """All F1, F2 and F3 configurations, canonically ordered."""
+    nbr = G.nbr
+    heavy_edges = G.nontrivial_edges()
+    # heavy[v]: the heavy neighbours of v, ascending as the edges are sorted
+    heavy = [[] for _ in range(G.n + 1)]
+    for u, w, _ in heavy_edges:
+        heavy[u].append(w)
+        heavy[w].append(u)
     configs = []
     for v in G.vertices():
-        heavy = sorted(u for u in G.adj[v] if G.weight(u, v) > 1)
-        for u, w in combinations(heavy, 2):
-            if not G.has_edge(u, w):
+        for u, w in combinations(heavy[v], 2):
+            if not nbr[u] >> w & 1:
                 configs.append(
                     ForbiddenConfig(
                         "F1",
@@ -109,20 +114,15 @@ def find_f1_f2_f3(G):
             elif v < u and G.weight(u, w) > 1:  # a heavy triangle, met at its least vertex
                 edges = (_edge_triple(G, v, u), _edge_triple(G, v, w), _edge_triple(G, u, w))
                 configs.append(ForbiddenConfig("F2", vertices=(v, u, w), edges=edges))
-    heavy_edges = G.nontrivial_edges()
-    for e, f in combinations(heavy_edges, 2):
-        quad = {e[0], e[1], f[0], f[1]}
-        if len(quad) < 4:
-            continue
-        if any(G.has_edge(x, y) for x in e[:2] for y in f[:2]):
-            continue
-        configs.append(
-            ForbiddenConfig(
-                "F3",
-                vertices=tuple(sorted(quad)),
-                edges=tuple(sorted((e, f))),
-            )
-        )
+    ends = [(1 << u) | (1 << w) for u, w, _ in heavy_edges]
+    for i, e in enumerate(heavy_edges):
+        # an F3 partner has neither end in e's closed neighbourhood
+        near = nbr[e[0]] | nbr[e[1]] | ends[i]
+        for f, bits in zip(heavy_edges[i + 1 :], ends[i + 1 :]):
+            if not near & bits:
+                configs.append(
+                    ForbiddenConfig("F3", vertices=tuple(sorted(e[:2] + f[:2])), edges=(e, f))
+                )
     configs.sort(key=lambda c: (c.kind, c.vertices, c.edges))
     return configs
 
@@ -143,7 +143,7 @@ def find_f4(G, odd=None):
     heavy_edges = G.nontrivial_edges()
     if not (odd and heavy_edges):
         return []
-    nbr = neighbour_masks(G)
+    nbr = G.nbr
     ends = [(1 << u) | (1 << v) for u, v, _ in heavy_edges]
     configs = []
     for cycle in odd:

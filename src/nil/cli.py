@@ -347,12 +347,16 @@ def cmd_enumerate(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+def _int_arg(text):
+    value = _exact_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
+
+
 def _weights_arg(text):
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values or any(w < 1 for w in values):
+    values = tuple(_int_arg(part) for part in text.split(","))
+    if any(w < 1 for w in values):
         raise argparse.ArgumentTypeError("weights must be positive integers")
     return values
 
@@ -379,7 +383,7 @@ def _add_format(sub):
 def _add_box_budget(sub):
     sub.add_argument(
         "--box-budget",
-        type=int,
+        type=_int_arg,
         default=None,
         metavar="N",
         help=f"lattice box volume budget (default {DEFAULT_BOX_BUDGET}, "
@@ -417,7 +421,7 @@ def build_parser():
 
     p = sub.add_parser("closure", help="generators of the closure of I^k vs I^k")
     p.add_argument("file")
-    p.add_argument("k", type=int, help="power to close (k >= 1)")
+    p.add_argument("k", type=_int_arg, help="power to close (k >= 1)")
     _add_format(p)
     _add_box_budget(p)
     p.set_defaults(func=cmd_closure)
@@ -426,7 +430,7 @@ def build_parser():
     p.add_argument("file")
     _add_format(p)
     _add_box_budget(p)
-    p.add_argument("--tmax", type=int, default=3, help="largest power to scan (default 3)")
+    p.add_argument("--tmax", type=_int_arg, default=3, help="largest power to scan (default 3)")
     p.set_defaults(func=cmd_normality)
 
     p = sub.add_parser("compact", help="bouquet classification of a leafless graph")
@@ -436,9 +440,9 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="cross-validate classifier vs oracle")
     _add_box_budget(p)
-    p.add_argument("--max-vertices", type=int, default=4)
+    p.add_argument("--max-vertices", type=_int_arg, default=4)
     p.add_argument("--weights", type=_weights_arg, default=(1, 2))
-    p.add_argument("--tmax", type=int, default=3)
+    p.add_argument("--tmax", type=_int_arg, default=3)
     p.set_defaults(func=cmd_enumerate)
 
     return parser

@@ -17,7 +17,7 @@ from itertools import combinations
 from .errors import GraphError, ResourceLimitError
 
 DEFAULT_CYCLE_CAP = 10**6
-# Every vertex gets an adjacency set and a report entry, so a graph file
+# Every vertex gets a neighbour mask and a report entry, so a graph file
 # cannot ask for more than this many.
 _MAX_VERTICES = 10**5
 
@@ -25,11 +25,13 @@ _MAX_VERTICES = 10**5
 class WeightedGraph:
     """Simple graph on {1..n} with positive integer edge weights.
 
-    ``edges`` maps (u, v) with u < v to the weight.  Instances are treated
-    as immutable after construction.
+    ``edges`` maps (u, v) with u < v to the weight.  ``nbr`` is the
+    adjacency, one bitmask per vertex: bit u of ``nbr[v]`` is set iff uv is
+    an edge, and ``nbr[0]`` is 0.  Instances are treated as immutable after
+    construction.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "nbr")
 
     def __init__(self, n, edge_list=()):
         # exact int: True is no vertex count, label or weight
@@ -39,7 +41,7 @@ class WeightedGraph:
             raise ResourceLimitError(f"vertex count {n} exceeds the cap {_MAX_VERTICES}")
         self.n = n
         self.edges = {}
-        self.adj = {v: set() for v in range(1, n + 1)}
+        self.nbr = nbr = [0] * (n + 1)
         for item in edge_list:
             try:
                 u, v, w = item if len(item) == 3 else (*item, 1)
@@ -57,8 +59,8 @@ class WeightedGraph:
             if key in self.edges:
                 raise GraphError(f"duplicate edge ({key[0]}, {key[1]})")
             self.edges[key] = w
-            self.adj[u].add(v)
-            self.adj[v].add(u)
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
 
     def vertices(self):
         return range(1, self.n + 1)
@@ -78,7 +80,7 @@ class WeightedGraph:
             raise GraphError(f"no edge ({u}, {v})") from None
 
     def degree(self, v):
-        return len(self.adj[v])
+        return self.nbr[v].bit_count()
 
     def nontrivial_edges(self):
         """Sorted tuple of edges with weight > 1."""
@@ -129,23 +131,36 @@ def connected_components(G):
     Isolated vertices appear as singletons.  Components are ordered by
     their minimum vertex.
     """
-    seen = set()
+    unseen = (1 << (G.n + 1)) - 2
     comps = []
-    for start in G.vertices():
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            x = stack.pop()
-            for y in G.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(tuple(sorted(comp)))
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            frontier = _closed(G.nbr, frontier) & ~comp
+            comp |= frontier
+        unseen ^= comp
+        comps.append(tuple(_bits(comp)))
     return comps
+
+
+def _bits(mask):
+    """The vertices of a vertex bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+def _closed(nbr, mask):
+    """The vertices of `mask` together with all their neighbours."""
+    out = mask
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= nbr[low.bit_length() - 1]
+    return out
 
 
 def canonical_cycle(vertices):
@@ -180,7 +195,7 @@ def is_bipartite(G):
         while head < len(queue):
             x = queue[head]
             head += 1
-            for y in sorted(G.adj[x]):
+            for y in _bits(G.nbr[x]):
                 if y not in color:
                     color[y] = 1 - color[x]
                     parent[y] = x
@@ -204,15 +219,6 @@ def _odd_cycle_from_conflict(parent, u, v):
     return canonical_cycle(cycle)
 
 
-def neighbour_masks(G):
-    """nbr[v]: G's neighbours of v as a bitmask, bit u for vertex u."""
-    nbr = [0] * (G.n + 1)
-    for u, v in G.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    return nbr
-
-
 def chordless_cycles(G, max_count=DEFAULT_CYCLE_CAP):
     """All chordless (induced) cycles, canonical form, sorted.
 
@@ -221,7 +227,7 @@ def chordless_cycles(G, max_count=DEFAULT_CYCLE_CAP):
     in between.  Raises ResourceLimitError past `max_count` cycles.
     """
     cycles = []
-    nbr = neighbour_masks(G)
+    nbr = G.nbr
     for a in G.vertices():
         anchor = nbr[a]
         below = (1 << (a + 1)) - 1  # vertices <= a
@@ -274,15 +280,16 @@ def biconnected_blocks(G):
     Isolated vertices contribute no block.  Deterministic: neighbors are
     visited in sorted order and blocks are listed in discovery order.
     """
+    nbr = G.nbr
     disc = {}
     low = {}
     blocks = []
     edge_stack = []
     counter = 0
     for root in G.vertices():
-        if root in disc or not G.adj[root]:
+        if root in disc or not nbr[root]:
             continue
-        stack = [(root, None, iter(sorted(G.adj[root])))]
+        stack = [(root, None, iter(_bits(nbr[root])))]
         disc[root] = low[root] = counter
         counter += 1
         while stack:
@@ -294,7 +301,7 @@ def biconnected_blocks(G):
                     edge_stack.append(key)
                     disc[y] = low[y] = counter
                     counter += 1
-                    stack.append((y, key, iter(sorted(G.adj[y]))))
+                    stack.append((y, key, iter(_bits(nbr[y]))))
                     advanced = True
                     break
                 elif key != parent_edge and disc[y] < disc[x]:
@@ -320,8 +327,8 @@ def biconnected_blocks(G):
 
 
 def _cycle_blocks(G):
-    """Vertex sets of the blocks of G that are cycles, or None when G has an
-    even cycle.
+    """Vertex masks of the blocks of G that are cycles, or None when G has
+    an even cycle.
 
     No even cycle iff every biconnected block is a single edge or an odd
     cycle (a 2-connected non-cycle block contains a theta subgraph, and one
@@ -336,8 +343,10 @@ def _cycle_blocks(G):
     for block in biconnected_blocks(G):
         if len(block) == 1:
             continue
-        verts = {v for e in block for v in e}
-        if len(block) != len(verts) or len(block) % 2 == 0:
+        verts = 0
+        for u, v in block:
+            verts |= (1 << u) | (1 << v)
+        if len(block) != verts.bit_count() or len(block) % 2 == 0:
             return None  # 2-connected but not a cycle, or an even cycle
         cycles.append(verts)
     return cycles
@@ -375,7 +384,7 @@ def disjoint_odd_pairs(G, odd, barred=()):
         for x in c:
             mask |= 1 << x
         masks.append(mask)
-    adj = G.adj
+    nbr = G.nbr
     for i, c1 in enumerate(odd):
         reject = masks[i]
         for x in c1:
@@ -384,7 +393,8 @@ def disjoint_odd_pairs(G, odd, barred=()):
             if not masks[j] & reject:
                 c2 = odd[j]
                 yield c1, c2, [
-                    (min(x, y), max(x, y), G.weight(x, y)) for x in c1 for y in c2 if y in adj[x]
+                    (min(x, y), max(x, y), G.weight(x, y))
+                    for x in c1 for y in c2 if nbr[x] >> y & 1
                 ]
 
 
@@ -415,17 +425,6 @@ class CompactClass:
     has_even_path: bool | None = None
 
 
-def trivial_leaves(G):
-    """All (leaf, neighbor) pairs whose pendant edge has weight 1."""
-    out = []
-    for v in G.vertices():
-        if len(G.adj[v]) == 1:
-            (u,) = G.adj[v]
-            if G.weight(u, v) == 1:
-                out.append((v, u))
-    return out
-
-
 def classify_compact(G):
     """Classify a connected leafless graph as a (multi-)bouquet of odd cycles.
 
@@ -443,30 +442,24 @@ def classify_compact(G):
     """
     if not G.edges:
         raise GraphError("compact classification needs at least one edge")
-    reached, stack = {1}, [1]
-    while stack:
-        for y in G.adj[stack.pop()]:
-            if y not in reached:
-                reached.add(y)
-                stack.append(y)
-    if len(reached) != G.n:
-        comps = connected_components(G)
+    comps = connected_components(G)
+    if len(comps) > 1:
         raise GraphError(f"graph is disconnected ({len(comps)} components)")
-    leaves = [v for v in G.vertices() if len(G.adj[v]) == 1]
+    nbr = G.nbr
+    leaves = [v for v in G.vertices() if nbr[v].bit_count() == 1]
     if leaves:
         raise GraphError(f"graph has a leaf at vertex {leaves[0]}")
 
     # Without an even cycle every cycle is a cycle block, so the odd cycle
     # condition reads: every two vertex-disjoint cycle blocks are joined by
-    # an edge.
+    # an edge, that is, no block misses the closed neighbourhood of another.
     blocks = _cycle_blocks(G)
     if blocks is None or any(
-        b1.isdisjoint(b2) and not any(G.adj[x] & b2 for x in b1)
-        for b1, b2 in combinations(blocks, 2)
+        not _closed(nbr, b1) & b2 for b1, b2 in combinations(blocks, 2)
     ):
         return CompactClass("not_compact")
 
-    stems = tuple(v for v in G.vertices() if len(G.adj[v]) >= 3)
+    stems = tuple(v for v in G.vertices() if nbr[v].bit_count() >= 3)
     if len(stems) == 0:
         return CompactClass("bouquet", (min(G.vertices()),))
     if len(stems) == 1:
@@ -480,7 +473,8 @@ def classify_compact(G):
             )
         # An extra path between the stems closes a cycle through both, and
         # that cycle is a block.
-        even_path = any(s1 in b and s2 in b for b in blocks)
+        ends = (1 << s1) | (1 << s2)
+        even_path = any(b & ends == ends for b in blocks)
         return CompactClass("two_bouquets", stems, has_even_path=even_path)
     if len(stems) == 3:
         s1, s2, s3 = stems

@@ -8,12 +8,13 @@ fraction_simplex, the library's pivot rules over Fractions, which pins the
 integer-preserving simplex to the same pivots and the same answers; and
 product_scan, the closure scan's walk of the whole box, which pins the
 staircase walk to the same solves, cuts and results; and the set-based
-cycle layer (reference_chordless_cycles, reference_disjoint_odd_pairs and
-the finders and checks built on it), which pins the bitmask cycle layer
-to the same cycles, pairs and configurations on graphs too large for the
-subset scans.  reference_config_payload lays out a configuration record as
-the reports of `nil classify` hold it; json.dumps over it is the reference
-for the CLI's record writer.
+graph layer (reference_components, reference_chordless_cycles,
+reference_disjoint_odd_pairs and the finders and checks built on them),
+which pins the neighbour-mask layer to the same components, cycles, pairs
+and configurations on graphs too large for the subset scans.
+reference_config_payload lays out a configuration record as the reports
+of `nil classify` hold it; json.dumps over it is the reference for the
+CLI's record writer.
 
 The file also holds the small graph helpers and seeded generators that
 only the tests use.
@@ -217,8 +218,38 @@ def product_scan(oracle, k, witness_only=False):
 
 
 # ---------------------------------------------------------------------------
-# The cycle layer on vertex sets
+# The graph layer on vertex sets
 # ---------------------------------------------------------------------------
+
+def neighbour_sets(G):
+    """adj[v]: the neighbours of v as a set, read from G.edges alone, so
+    the references below do not rest on the neighbour masks they check."""
+    adj = {v: set() for v in G.vertices()}
+    for u, v in G.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def reference_components(G):
+    """wgraph.connected_components by a stack search over neighbour sets."""
+    adj = neighbour_sets(G)
+    seen = set()
+    comps = []
+    for start in G.vertices():
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return comps
+
 
 def reference_chordless_cycles(G, max_count=10**6):
     """wgraph.chordless_cycles by path extension over vertex sets.
@@ -228,7 +259,7 @@ def reference_chordless_cycles(G, max_count=10**6):
     sorted order.
     """
     cycles = []
-    adj = G.adj
+    adj = neighbour_sets(G)
     touch = [0] * (G.n + 1)
     for a in G.vertices():
         anchor_adj = adj[a]
@@ -269,12 +300,13 @@ def reference_chordless_cycles(G, max_count=10**6):
 def reference_disjoint_odd_pairs(G, odd):
     """(c1, c2, cross) for every two vertex-disjoint cycles of `odd`, by set
     intersection, with cross built for every pair."""
+    adj = neighbour_sets(G)
     for i, c1 in enumerate(odd):
         s1 = set(c1)
         for c2 in odd[i + 1 :]:
             if s1.isdisjoint(c2):
                 yield c1, c2, [
-                    (min(x, y), max(x, y), G.weight(x, y)) for x in c1 for y in c2 if y in G.adj[x]
+                    (min(x, y), max(x, y), G.weight(x, y)) for x in c1 for y in c2 if y in adj[x]
                 ]
 
 
@@ -288,9 +320,10 @@ def reference_odd_cycle_condition(G):
 
 def reference_find_f4(G, odd):
     """classifier.find_f4 with the closed neighbourhood as a vertex set."""
+    adj = neighbour_sets(G)
     configs = []
     for cycle in odd:
-        closed = set(cycle).union(*(G.adj[x] for x in cycle))
+        closed = set(cycle).union(*(adj[x] for x in cycle))
         for u, v, w in G.nontrivial_edges():
             if u in closed or v in closed:
                 continue
@@ -343,13 +376,14 @@ def brute_chordless_cycles(G):
             H, _ = induced_subgraph(G, subset)
             if len(H.edges) != size:
                 continue
-            if any(len(H.adj[v]) != 2 for v in H.vertices()):
+            adj = neighbour_sets(H)
+            if any(len(adj[v]) != 2 for v in H.vertices()):
                 continue
             # connected 2-regular with |E| == |V| is one cycle; walk it
             order = [1]
             prev = None
             while len(order) < size:
-                nxt = [x for x in H.adj[order[-1]] if x != prev]
+                nxt = [x for x in adj[order[-1]] if x != prev]
                 prev = order[-1]
                 order.append(min(nxt))
             if len(set(order)) != size:
@@ -362,7 +396,7 @@ def brute_chordless_cycles(G):
 def brute_all_cycles(G):
     """Every simple cycle (not only induced), canonical form, via DFS."""
     cycles = []
-    adj = G.adj
+    adj = neighbour_sets(G)
 
     def extend(path, members):
         last = path[-1]

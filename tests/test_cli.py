@@ -227,6 +227,25 @@ class TestExitCodes:
             assert main(["classify", str(path)]) == 2
             assert capsys.readouterr().err.startswith("error: line 3: weight must be an integer")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normality", "F4", "--tmax", "1_0"],
+            ["normality", "F4", "--tmax", "\u0662"],
+            ["closure", "F4", "\u0661"],
+            ["enumerate", "--weights", "\u0661,2"],
+            ["enumerate", "--weights", "1, 2"],
+            ["enumerate", "--max-vertices", "3_0"],
+            ["normality", "F4", "--box-budget", "1_000_000"],
+        ],
+    )
+    def test_integer_arguments_are_ascii_digits(self, argv, f4_file, capsys):
+        # the rule of graph files and NIL_BOX_BUDGET: ASCII [+-]?[0-9]+ only
+        with pytest.raises(SystemExit) as exc:
+            main([f4_file if arg == "F4" else arg for arg in argv])
+        assert exc.value.code == 2
+        assert "integer" in capsys.readouterr().err
+
     def test_env_budget_is_ascii_digits(self, f4_file, capsys, monkeypatch):
         for raw in ("1_000_000", "\u0665", " 5", "5 ", ""):
             monkeypatch.setenv("NIL_BOX_BUDGET", raw)

@@ -19,7 +19,6 @@ from nil.wgraph import (
     is_bipartite,
     odd_chordless_cycles,
     odd_cycle_condition,
-    trivial_leaves,
 )
 
 from _oracles import (
@@ -32,6 +31,7 @@ from _oracles import (
     random_graph,
     random_sparse_graph,
     reference_chordless_cycles,
+    reference_components,
     reference_disjoint_odd_pairs,
     reference_odd_cycle_condition,
     remove_edge,
@@ -98,6 +98,21 @@ class TestConstruction:
     def test_pair_defaults_to_weight_one(self):
         assert build_graph(2, [(1, 2)]).weight(1, 2) == 1
 
+    def test_neighbour_masks_match_the_edges(self):
+        rng = random.Random(53)
+        graphs = [WeightedGraph(0), WeightedGraph(1)]
+        for _ in range(100):
+            G = random_graph(rng, n_max=8, p=rng.choice((0.2, 0.5, 0.8)))
+            subset = [v for v in G.vertices() if rng.random() < 0.6]
+            graphs += [G, induced_subgraph(G, subset)[0]]
+        for G in graphs:
+            assert len(G.nbr) == G.n + 1 and G.nbr[0] == 0
+            for u in G.vertices():
+                assert G.nbr[u] >> G.n + 1 == 0
+                for v in G.vertices():
+                    assert bool(G.nbr[u] >> v & 1) == G.has_edge(u, v)
+                assert G.degree(u) == sum(u in e for e in G.edges)
+
     def test_edge_items_are_pairs_or_triples(self):
         for item in (1, (1, 2, 1, 5), (1,), ()):
             with pytest.raises(GraphError, match=r"\(u, v\) or \(u, v, w\)"):
@@ -159,6 +174,17 @@ class TestComponents:
 
     def test_edgeless_singletons(self):
         assert connected_components(WeightedGraph(3)) == [(1,), (2,), (3,)]
+        assert connected_components(WeightedGraph(0)) == []
+
+    def test_random_graphs_match_the_set_based_search(self):
+        rng = random.Random(59)
+        counts = set()
+        for _ in range(200):
+            G = random_graph(rng, n_min=1, n_max=8, p=rng.choice((0.1, 0.2, 0.4)))
+            comps = connected_components(G)
+            assert comps == reference_components(G)
+            counts.add(len(comps))
+        assert len(counts) >= 5  # one component up to many
 
 
 class TestBipartite:
@@ -337,18 +363,6 @@ class TestOddCycleCondition:
             assert len(c1) % 2 == 1 and len(c2) % 2 == 1
             assert not set(c1) & set(c2)
             assert not any(G.has_edge(u, v) for u in c1 for v in c2)
-
-
-class TestTrivialLeaves:
-    def test_path(self):
-        G = build_graph(3, [(1, 2, 1), (2, 3, 1)])
-        assert trivial_leaves(G) == [(1, 2), (3, 2)]
-
-    def test_heavy_edge(self):
-        assert trivial_leaves(build_graph(2, [(1, 2, 2)])) == []
-
-    def test_triangle(self):
-        assert trivial_leaves(triangle()) == []
 
 
 class TestCanonicalCycle:
