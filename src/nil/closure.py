@@ -22,17 +22,19 @@ up-set of the generators is built as one Python int with a bit per box
 point, by shifts along each axis, and the scan walks the staircase row by
 row in product order.  It solves an LP only at points that no cut rejects.
 
-No floating point appears anywhere in a decision path: the simplex and
-the certificate checks run over arbitrary-precision ints, the checks on
-each vector scaled by the lcm of its denominators, and the results are
-Fractions.
+No floating point appears anywhere in a decision path.  The simplex
+returns its optimum, primal and dual as arbitrary-precision ints, each
+over its least common denominator: num / den, C / Dc and Y / Dy.  The
+certificate checks run on those ints, the scan keeps (Y, Dy) as its cut
+and tests a solve's optimum as num >= k * den, and an LPResult builds the
+Fractions of its public optimum, coeffs and dual only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 from . import simplex
@@ -53,15 +55,34 @@ DEFAULT_BOX_BUDGET = 10**7
 class LPResult:
     """Exact optimum of the closure-membership LP with a certified solution.
 
-    coeffs has one entry per generator of the ideal and dual one entry per
-    coordinate of a; the constraints sum(coeffs) == optimum, sum_j coeffs_j * g_j
-    <= a, dual >= 0, <dual, g_j> >= 1 and <dual, a> == optimum are
-    re-checked in exact arithmetic before the result is returned.
+    The solve's integer form: the optimum is num / den, the coefficients
+    C / Dc with one entry of C per generator of the ideal, and the dual
+    cut (Y, Dy) stands for the dual Y / Dy, one entry per coordinate of a.
+    Each is in lowest terms.  The constraints sum(coeffs) == optimum,
+    sum_j coeffs_j * g_j <= a, dual >= 0, <dual, g_j> >= 1 and
+    <dual, a> == optimum are re-checked in exact arithmetic before the
+    result is returned.  optimum, coeffs and dual give the same values as
+    Fractions, built when read.
     """
 
-    optimum: Fraction
-    coeffs: tuple
-    dual: tuple
+    num: int
+    den: int
+    primal: tuple
+    cut: tuple
+
+    @property
+    def optimum(self):
+        return Fraction(self.num, self.den)
+
+    @property
+    def coeffs(self):
+        C, D = self.primal
+        return tuple(Fraction(c, D) for c in C)
+
+    @property
+    def dual(self):
+        Y, D = self.cut
+        return tuple(Fraction(y, D) for y in Y)
 
 
 @dataclass(frozen=True)
@@ -81,9 +102,8 @@ class NormalityVerdict:
 def _require_nonzero(I):
     if I.is_zero:
         raise IdealError("operation needs a nonzero ideal")
-    for g in I.gens:
-        if all(x == 0 for x in g):
-            raise IdealError("unit ideal (zero exponent generator) is unsupported")
+    if not all(map(any, I.gens)):
+        raise IdealError("unit ideal (zero exponent generator) is unsupported")
 
 
 def lp_max_weight(I, a):
@@ -92,30 +112,29 @@ def lp_max_weight(I, a):
     The feasible region is bounded since every generator is nonzero with
     nonnegative entries.  The returned coefficients are verified against
     the constraints by exact re-substitution, and the optimum is proved by
-    the dual solution.  Both checks run in ints: the coefficients and the
-    dual are each scaled by the lcm of their denominators.
+    the dual solution.  Both checks run on the simplex's ints, each vector
+    over its common denominator.
     """
     a = tuple(a)
     _require_nonzero(I)
     _check_exponent(a, I.n)
 
-    optimum, coeffs, dual = simplex.maximize_total(I.gens, a)
-    num, den = optimum.numerator, optimum.denominator
+    (num, den), primal, cut = simplex.maximize_total(I.gens, a)
 
-    C, Dc = _integer_cut(coeffs)
+    C, Dc = primal
     if min(C) < 0:
         raise RuntimeError("LP returned a negative coefficient")
     combo = _weighted_sum(C, I.gens)
     if sum(C) * den != num * Dc or any(x > Dc * y for x, y in zip(combo, a)):
         raise RuntimeError("LP certificate failed exact re-substitution")
-    Y, Dy = _integer_cut(dual)
+    Y, Dy = cut
     if (
         min(Y) < 0
         or any(sum(map(mul, Y, g)) < Dy for g in I.gens)
         or sum(map(mul, Y, a)) * den != num * Dy
     ):
         raise RuntimeError("LP dual certificate failed exact verification")
-    return LPResult(optimum=optimum, coeffs=tuple(coeffs), dual=tuple(dual))
+    return LPResult(num, den, primal, cut)
 
 
 def in_closure_power(I, a, k):
@@ -126,12 +145,6 @@ def in_closure_power(I, a, k):
 
 def _box_bounds(I, k):
     return tuple(k * max(g[i] for g in I.gens) for i in range(I.n))
-
-
-def _integer_cut(values):
-    """(Y, D): the Fractions scaled by the lcm D of their denominators to ints."""
-    D = lcm(*(y.denominator for y in values))
-    return tuple(y.numerator * (D // y.denominator) for y in values), D
 
 
 class ClosureOracle:
@@ -182,7 +195,8 @@ class ClosureOracle:
         of the same row or of a row visited earlier, so a row's candidates
         end where the closure begins in the row or in one of the rows one
         step below it.  One byte per box point marks that first closure
-        point of each row.
+        point of each row; no row has one before the first failure, so the
+        marks are allocated then.
 
         A point a with <Y, a> < k * D for some cut has optimum below k, so
         it is skipped without a solve; a cut's bound grows along a row, so
@@ -217,7 +231,7 @@ class ClosureOracle:
         j = max(i for i, b in enumerate(bounds) if b)
         width, tail = bounds[j] + 1, (0,) * (I.n - 1 - j)
         radices = [b + 1 for b in bounds[:j]][::-1]
-        marked = bytearray(volume)
+        marked = None
         min_degree = k * min(sum(g) for g in I.gens)
         ceiling = sum(bounds) + 1
         failures = []
@@ -252,10 +266,11 @@ class ClosureOracle:
                     break
                 a = prefix + (x,) + tail
                 result = lp_max_weight(I, a)
-                cut = _integer_cut(result.dual)
-                if cut not in cuts:
-                    cuts.append(cut)
-                if result.optimum >= k:
+                if result.cut not in cuts:
+                    cuts.append(result.cut)
+                if result.num >= k * result.den:
+                    if not failures:
+                        marked = bytearray(volume)
                     failures.append(a)
                     first = x
                     if witness_only:

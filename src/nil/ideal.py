@@ -11,7 +11,8 @@ All operations are pure functions over immutable values.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations_with_replacement, islice
+from itertools import islice
+from operator import add, le
 
 from .errors import GraphError, IdealError, ResourceLimitError
 
@@ -27,7 +28,7 @@ def support(a):
 
 def divides(g, a):
     """Componentwise g <= a, i.e. x^g divides x^a."""
-    return all(gi <= ai for gi, ai in zip(g, a))
+    return all(map(le, g, a))
 
 
 def first_divisor(kept, a):
@@ -38,7 +39,8 @@ def first_divisor(kept, a):
     vectors of lower degree than a are tried.
     """
     for g in islice(kept, bisect_left(kept, sum(a), key=sum)):
-        if divides(g, a):
+        # divides(g, a), inlined: this is the hot loop of every power.
+        if all(map(le, g, a)):
             return g
     return None
 
@@ -110,11 +112,24 @@ def minimalize(exps):
     n = len(exps[0])
     for e in exps:
         _check_exponent(e, n)
+    return _minimal_ideal(n, exps)
+
+
+def _minimal_ideal(n, exps):
+    """The ideal of the divisibility-minimal elements of exps.
+
+    exps holds distinct, already checked exponent tuples of length n.  The
+    kept elements form an antichain by construction, so the ideal is built
+    without the public constructor's check.
+    """
     kept = []
     for e in sorted(exps, key=sum):
         if first_divisor(kept, e) is None:
             kept.append(e)
-    return MonomialIdeal(n, kept)
+    ideal = object.__new__(MonomialIdeal)
+    ideal.n = n
+    ideal.gens = tuple(sorted(kept))
+    return ideal
 
 
 def edge_ideal(G):
@@ -134,19 +149,19 @@ def edge_ideal(G):
 
 
 def power(I, t):
-    """Minimal generators of I^t (sums of t generators, minimalized)."""
+    """Minimal generators of I^t.
+
+    Built a step at a time: the minimal generators of I^s are the minimal
+    elements of the sums of one minimal generator of I^(s-1) and one of I.
+    """
     _check_positive(t, "power exponent")
     if I.is_zero:
         raise IdealError("power of the zero ideal is unsupported")
-    if t == 1:
-        return I
-    sums = set()
-    for combo in combinations_with_replacement(I.gens, t):
-        total = combo[0]
-        for g in combo[1:]:
-            total = exp_add(total, g)
-        sums.add(total)
-    return minimalize(sums)
+    P = I
+    for _ in range(t - 1):
+        sums = {tuple(map(add, p, g)) for p in P.gens for g in I.gens}
+        P = _minimal_ideal(I.n, sums)
+    return P
 
 
 def contains(I, a):

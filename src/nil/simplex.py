@@ -6,12 +6,12 @@ in exact arithmetic without floats or Fractions in the pivot loop: each
 tableau row, the objective row included, is a list of ints over its own
 positive denominator (integer-preserving pivoting, as in Edmonds 1967 and
 Bareiss 1968), reduced by the gcd of its entries after every update, so it
-holds the same rationals a Fraction tableau would.  Fractions are built
-only for the returned values.  The data is integral and nonnegative with
-every column nonzero, so the origin is feasible and the optimum is finite;
-no phase-1 is needed.  Bland's smallest-index rule on both the entering
-and leaving choices prevents cycling, and a pivot cap fails loudly rather
-than looping.
+holds the same rationals a Fraction tableau would.  The results are
+returned in that integer form too, and no Fraction is built.  The data is
+integral and nonnegative with every column nonzero, so the origin is
+feasible and the optimum is finite; no phase-1 is needed.  Bland's
+smallest-index rule on both the entering and leaving choices prevents
+cycling, and a pivot cap fails loudly rather than looping.
 
 At optimality the objective row holds, under the slack columns, an
 optimal solution y of the dual LP
@@ -26,8 +26,7 @@ it, and its dual entry is 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ResourceLimitError
 
@@ -35,11 +34,16 @@ DEFAULT_PIVOT_CAP = 10**5
 
 
 def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
-    """Return (optimum, coeffs, dual) for the packing LP above.
+    """Return ((num, den), (C, Dc), (Y, Dy)) for the packing LP above.
 
     columns: sequence of integer vectors, each nonzero and nonnegative.
     rhs: integer vector of the same length, entries >= 0.
-    dual has one entry per entry of rhs.
+    The optimum is num / den, the primal solution C / Dc (one entry per
+    column) and the dual solution Y / Dy (one entry per entry of rhs).
+    C and Y are tuples of ints, and each value is in lowest terms over
+    its least positive denominator: gcd(num, den) == gcd(Dc, *C) ==
+    gcd(Dy, *Y) == 1, so each pair holds the same rationals as a Fraction
+    per entry would.
     """
     m = len(rhs)
     s = len(columns)
@@ -126,11 +130,21 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
         basis[leaving] = entering
 
     obj, den = rows[m], dens[m]
-    coeffs = [Fraction(0)] * s
+    g = gcd(obj[-1], den)
+    optimum = (obj[-1] // g, den // g)
+    # Over the lcm of the basic rows' denominators, then in lowest terms.
+    Dc = lcm(*(dens[i] for i, b in enumerate(basis) if b < s))
+    C = [0] * s
     for i, b in enumerate(basis):
         if b < s:
-            coeffs[b] = Fraction(rows[i][-1], dens[i])
-    dual = [Fraction(0)] * len(rhs)
+            C[b] = rows[i][-1] * (Dc // dens[i])
+    g = gcd(Dc, *C)
+    primal = (tuple(x // g for x in C), Dc // g)
+    # The objective row holds Y under the slacks, <Y, col_j> - den under
+    # column j and <Y, rhs> last.  Every pivot leaves gcd(den, *obj) == 1,
+    # and a common factor of den and Y would divide every entry, so Y / den
+    # is already in lowest terms.
+    Y = [0] * len(rhs)
     for r, i in enumerate(live):
-        dual[i] = Fraction(obj[s + r], den)
-    return Fraction(obj[-1], den), coeffs, dual
+        Y[i] = obj[s + r]
+    return optimum, primal, (tuple(Y), den)

@@ -7,11 +7,14 @@ logic.  Slow is fine; these run on tiny inputs.  The one exception is
 fraction_simplex, the library's pivot rules over Fractions, which pins the
 integer-preserving simplex to the same pivots and the same answers; and
 product_scan, the closure scan's walk of the whole box, which pins the
-staircase walk to the same solves, cuts and results; and the set-based
-graph layer (reference_components, reference_chordless_cycles,
-reference_disjoint_odd_pairs and the finders and checks built on them),
-which pins the neighbour-mask layer to the same components, cycles, pairs
-and configurations on graphs too large for the subset scans.
+staircase walk to the same solves, cuts and results; integer_cut, the
+scaling of a Fraction vector to ints over the lcm of its denominators,
+which product_scan and the simplex tests use to check the library's
+integer results; and the set-based graph layer (reference_components,
+reference_chordless_cycles, reference_disjoint_odd_pairs and the finders
+and checks built on them), which pins the neighbour-mask layer to the same
+components, cycles, pairs and configurations on graphs too large for the
+subset scans.
 reference_config_payload lays out a configuration record as the reports
 of `nil classify` hold it; json.dumps over it is the reference for the
 CLI's record writer.
@@ -23,7 +26,7 @@ only the tests use.
 import json
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 import nil.closure
@@ -171,6 +174,12 @@ def fraction_simplex(columns, rhs):
 # The closure scan as a walk of the whole box
 # ---------------------------------------------------------------------------
 
+def integer_cut(values):
+    """(Y, D): the Fractions scaled by the lcm D of their denominators to ints."""
+    D = lcm(*(y.denominator for y in values))
+    return tuple(y.numerator * (D // y.denominator) for y in values), D
+
+
 def product_scan(oracle, k, witness_only=False):
     """ClosureOracle.scan as a walk of the whole box in product order.
 
@@ -179,6 +188,9 @@ def product_scan(oracle, k, witness_only=False):
     Generators of I^k are found where the walk meets them.  The scan uses
     and extends the oracle's cuts, as the library scan does, and solves
     through nil.closure.lp_max_weight, so a spy there sees both walks.
+    Its cuts come from each result's Fraction dual through integer_cut, not
+    from the result's own integer cut, so equal cut lists check the
+    library's cuts independently.
     """
     I, cuts = oracle.ideal, oracle.cuts
     bounds = nil.closure._box_bounds(I, k)
@@ -203,7 +215,7 @@ def product_scan(oracle, k, witness_only=False):
         if any(sum(map(mul, Y, a)) < k * D for Y, D in cuts):
             continue
         result = nil.closure.lp_max_weight(I, a)
-        cut = nil.closure._integer_cut(result.dual)
+        cut = integer_cut(result.dual)
         if cut not in cuts:
             cuts.append(cut)
         if result.optimum >= k:

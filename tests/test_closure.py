@@ -129,8 +129,8 @@ class TestLpMaxWeight:
         def suboptimal(columns, rhs):
             # A feasible primal point (all zeros) below the true optimum,
             # returned with the true optimum's dual.
-            _, coeffs, dual = real(columns, rhs)
-            return Fraction(0), [Fraction(0)] * len(coeffs), dual
+            _, (C, _), cut = real(columns, rhs)
+            return (0, 1), ((0,) * len(C), 1), cut
 
         monkeypatch.setattr(nil.simplex, "maximize_total", suboptimal)
         with pytest.raises(RuntimeError, match="dual"):

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,12 @@ from nil.ideal import (
 )
 from nil.wgraph import WeightedGraph, build_graph
 
-from _oracles import brute_minimalize, random_exponent, random_ideal
+from _oracles import (
+    brute_minimalize,
+    random_exponent,
+    random_graph_with_edge,
+    random_ideal,
+)
 
 exponents = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=4)
 
@@ -159,15 +164,48 @@ class TestPower:
 
         calls = []
 
-        def spy(g, a):
+        def spy(x, y):
             calls.append(1)
-            return divides(g, a)
+            return x <= y
 
-        monkeypatch.setattr(nil.ideal, "divides", spy)
+        # Divisibility is all(map(le, g, a)), in divides and inlined in
+        # first_divisor, so the spy counts entry comparisons.
+        monkeypatch.setattr(nil.ideal, "le", spy)
         K6 = build_graph(6, [(u, v, 1) for u in range(1, 7) for v in range(u + 1, 7)])
         assert len(power(edge_ideal(K6), 4).gens) == 951
-        # 1,355,385 calls when every sum was compared with every kept one.
+        # 1,355,385 divides calls when every sum was compared with every
+        # kept one.
         assert len(calls) < 10**4
+        # Sums of mixed degrees are compared, and the spy sees it.
+        calls.clear()
+        assert power(edge_ideal(build_graph(3, [(1, 2, 1), (2, 3, 2)])), 2).gens == (
+            (0, 4, 4),
+            (1, 3, 2),
+            (2, 2, 0),
+        )
+        assert calls
+
+    def test_matches_the_definition(self):
+        # I^t is the minimal elements of all sums of t generators.
+        rng = random.Random(17)
+        for i in range(60):
+            if i % 2:
+                I = random_ideal(rng)
+            else:
+                I = edge_ideal(random_graph_with_edge(rng, n_max=4))
+            for t in (2, 3, 4):
+                sums = [
+                    tuple(map(sum, zip(*combo)))
+                    for combo in combinations_with_replacement(I.gens, t)
+                ]
+                assert power(I, t) == brute_minimalize(sums)
+
+    def test_mixed_weight_complete_graph(self):
+        rng = random.Random(0)
+        K8 = build_graph(
+            8, [(u, v, rng.choice((1, 2, 3))) for u, v in combinations(range(1, 9), 2)]
+        )
+        assert len(power(edge_ideal(K8), 3).gens) == 1293
 
 
 class TestContains:

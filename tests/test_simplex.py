@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from nil.errors import ResourceLimitError
 from nil.simplex import maximize_total
 
-from _oracles import fm_max_total, fraction_simplex
+from _oracles import fm_max_total, fraction_simplex, integer_cut
+
+
+def as_fractions(result):
+    """maximize_total's integer form as (optimum, coeffs, dual) Fractions."""
+    (num, den), (C, Dc), (Y, Dy) = result
+    return Fraction(num, den), [Fraction(c, Dc) for c in C], [Fraction(y, Dy) for y in Y]
 
 
 def check_solution(columns, rhs, optimum, coeffs):
@@ -16,15 +23,18 @@ def check_solution(columns, rhs, optimum, coeffs):
         assert sum(c * col[i] for c, col in zip(coeffs, columns)) <= rhs[i]
 
 
-def assert_exact(optimum, coeffs):
-    assert isinstance(optimum, Fraction)
-    assert all(isinstance(c, Fraction) for c in coeffs)
+def assert_integer_form(result):
+    """Exact ints, each value in lowest terms over a positive denominator."""
+    (num, den), (C, Dc), (Y, Dy) = result
+    assert type(C) is tuple and type(Y) is tuple
+    assert all(type(x) is int for x in (num, den, Dc, Dy, *C, *Y))
+    assert min(den, Dc, Dy) > 0
+    assert gcd(num, den) == gcd(Dc, *C) == gcd(Dy, *Y) == 1
 
 
 def check_dual(columns, rhs, optimum, dual):
     """Dual feasibility and a dual objective equal to the optimum."""
     assert len(dual) == len(rhs)
-    assert all(isinstance(y, Fraction) for y in dual)
     assert all(y >= 0 for y in dual)
     for col in columns:
         assert sum(y * x for y, x in zip(dual, col)) >= 1
@@ -32,25 +42,25 @@ def check_dual(columns, rhs, optimum, dual):
 
 
 def test_half_plus_half():
-    opt, coeffs, _ = maximize_total([(2, 2, 0), (0, 2, 2)], (1, 2, 1))
+    opt, coeffs, _ = as_fractions(maximize_total([(2, 2, 0), (0, 2, 2)], (1, 2, 1)))
     assert opt == 1
     assert coeffs == [Fraction(1, 2), Fraction(1, 2)]
 
 
 def test_single_column():
-    opt, coeffs, _ = maximize_total([(2, 2)], (1, 1))
+    opt, coeffs, _ = as_fractions(maximize_total([(2, 2)], (1, 1)))
     assert opt == Fraction(1, 2)
     check_solution([(2, 2)], (1, 1), opt, coeffs)
 
 
 def test_zero_rhs_is_degenerate_but_terminates():
-    opt, coeffs, _ = maximize_total([(1, 1), (1, 0)], (0, 0))
+    opt, coeffs, _ = as_fractions(maximize_total([(1, 1), (1, 0)], (0, 0)))
     assert opt == 0
     assert coeffs == [0, 0]
 
 
 def test_slack_only_optimum():
-    opt, coeffs, _ = maximize_total([(3, 0), (0, 3)], (2, 5))
+    opt, coeffs, _ = as_fractions(maximize_total([(3, 0), (0, 3)], (2, 5)))
     assert opt == Fraction(2, 3) + Fraction(5, 3)
     check_solution([(3, 0), (0, 3)], (2, 5), opt, coeffs)
 
@@ -75,8 +85,8 @@ def test_zero_rows_leave_the_solution_unchanged():
             padded_rhs[r] = rhs[i]
             for col, padded in zip(columns, padded_cols):
                 padded[r] = col[i]
-        opt, coeffs, dual = maximize_total(columns, rhs)
-        p_opt, p_coeffs, p_dual = maximize_total(padded_cols, padded_rhs)
+        opt, coeffs, dual = as_fractions(maximize_total(columns, rhs))
+        p_opt, p_coeffs, p_dual = as_fractions(maximize_total(padded_cols, padded_rhs))
         assert (p_opt, p_coeffs) == (opt, coeffs)
         assert [p_dual[r] for r in real] == dual
         assert all(p_dual[i] == 0 for i in pad)
@@ -104,10 +114,11 @@ def test_agrees_with_fourier_motzkin():
             if any(col):
                 columns.append(col)
         rhs = tuple(rng.randint(0, 6) for _ in range(m))
-        opt, coeffs, dual = maximize_total(columns, rhs)
+        result = maximize_total(columns, rhs)
+        assert_integer_form(result)
+        opt, coeffs, dual = as_fractions(result)
         assert opt == fm_max_total(columns, rhs)
         check_solution(columns, rhs, opt, coeffs)
-        assert_exact(opt, coeffs)
         check_dual(columns, rhs, opt, dual)
 
 
@@ -122,9 +133,10 @@ def test_larger_random_instances_self_consistent():
             if any(col):
                 columns.append(col)
         rhs = tuple(rng.randint(0, 8) for _ in range(m))
-        opt, coeffs, dual = maximize_total(columns, rhs)
+        result = maximize_total(columns, rhs)
+        assert_integer_form(result)
+        opt, coeffs, dual = as_fractions(result)
         check_solution(columns, rhs, opt, coeffs)
-        assert_exact(opt, coeffs)
         check_dual(columns, rhs, opt, dual)
         # optimum dominates every coordinate-greedy single-column value
         for col in columns:
@@ -164,8 +176,13 @@ def test_same_pivots_and_answers_as_the_fraction_simplex():
         columns, rhs = random_packing_lp(rng)
         opt, coeffs, dual, pivots, ties = fraction_simplex(columns, rhs)
         result = maximize_total(columns, rhs, pivot_cap=pivots)
-        assert result == (opt, coeffs, dual)
-        assert all(type(x) is Fraction for x in [result[0], *result[1], *result[2]])
+        assert_integer_form(result)
+        # Equal as rationals, and the same least denominators.
+        assert result == (
+            (opt.numerator, opt.denominator),
+            integer_cut(coeffs),
+            integer_cut(dual),
+        )
         if pivots:
             with pytest.raises(ResourceLimitError):
                 maximize_total(columns, rhs, pivot_cap=pivots - 1)
