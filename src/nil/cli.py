@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -150,71 +151,83 @@ def _dumps(value):
     With `indent`, json.dumps takes the pure-Python encoder, which spends a
     call per value; here a list of exact ints is one join. A record is
     written straight from its fields, in the layout of
-    `tests/_oracles.py::reference_config_payload`. Its int rows (edges,
-    cycles, pendant, vertices) recur from record to record, so each row is
-    rendered once per call at each indent and its text reused.
+    `tests/_oracles.py::reference_config_payload`: its ints fill the `%d`
+    slots of one template per record shape and indent.
     """
-    return _write(value, "\n", {})
+    return _write(value, "\n")
 
 
-def _write(value, newline, rows):
-    # `newline` starts each line at this value's own depth; `rows` maps
-    # (row, newline) to the text of a record row written there.
+def _write(value, newline):
+    # `newline` starts each line at this value's own depth.
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
         if not [x for x in value if type(x) is not int]:
-            body = map(int.__repr__, value)
-        else:
-            body = [_write(x, inner, rows) for x in value]
-        return "[" + inner + ("," + inner).join(body) + newline + "]"
+            return _layout(list(map(int.__repr__, value)), newline)
+        inner = newline + "  "
+        return _layout([_write(x, inner) for x in value], newline)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
-        body = [_encode_key(k) + ": " + _write(v, inner, rows) for k, v in sorted(value.items())]
+        body = [_encode_key(k) + ": " + _write(v, inner) for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(body) + newline + "}"
     if type(value) is int:
         return int.__repr__(value)
     if type(value) is ForbiddenConfig:
-        return _write_record(value, newline, rows)
+        return _write_record(value, newline)
     return _encode_scalar(value)
 
 
-def _write_record(config, newline, rows):
-    # Keys in sorted order. `connectors` is written for every F5, even when
-    # empty; `cycles` only when there are any, `pendant` only when set.
+def _write_record(config, newline):
+    # The shape holds every row's length, so a template serves only records
+    # whose ints fill its slots in the same places.  A record's ints are
+    # exact ints (WeightedGraph's rule), which %d writes as repr does.
+    template = _record_template(
+        newline,
+        config.kind,
+        tuple(map(len, config.connectors)),
+        tuple(map(len, config.cycles)),
+        tuple(map(len, config.edges)),
+        None if config.pendant is None else len(config.pendant),
+        len(config.vertices),
+    )
+    return template % tuple(chain(
+        *config.connectors, *config.cycles, *config.edges, config.pendant or (), config.vertices
+    ))
+
+
+# Reports repeat a few shapes (kinds, cycle lengths, connector counts), and
+# a template is about as long as its record, so a bounded cache holds them.
+@functools.lru_cache(maxsize=256)
+def _record_template(newline, kind, connectors, cycles, edges, pendant, vertices):
+    """A record's text with a `%d` slot for each int.  `connectors`,
+    `cycles` and `edges` are row lengths, `pendant` a length or None and
+    `vertices` a length; keys come in sorted order, `connectors` for every
+    F5, even when empty, `cycles` only when there are any."""
     inner = newline + "  "
+    row_at = inner + "  "
     body = []
-    if config.kind == "F5":
-        body.append('"connectors": ' + _rows(config.connectors, inner, rows))
-    if config.cycles:
-        body.append('"cycles": ' + _rows(config.cycles, inner, rows))
-    body.append('"edges": ' + _rows(config.edges, inner, rows))
-    body.append('"kind": ' + _encode_key(config.kind))
-    if config.pendant is not None:
-        body.append('"pendant": ' + _row(config.pendant, inner, rows))
-    body.append('"vertices": ' + _row(config.vertices, inner, rows))
+    if kind == "F5":
+        body.append('"connectors": ' + _layout([_slots(k, row_at) for k in connectors], inner))
+    if cycles:
+        body.append('"cycles": ' + _layout([_slots(k, row_at) for k in cycles], inner))
+    body.append('"edges": ' + _layout([_slots(k, row_at) for k in edges], inner))
+    body.append('"kind": ' + _encode_key(kind).replace("%", "%%"))
+    if pendant is not None:
+        body.append('"pendant": ' + _slots(pendant, inner))
+    body.append('"vertices": ' + _slots(vertices, inner))
     return "{" + inner + ("," + inner).join(body) + newline + "}"
 
 
-def _rows(items, newline, rows):
+def _slots(length, newline):
+    return _layout(["%d"] * length, newline)
+
+
+def _layout(items, newline):
+    # json.dumps's layout of a list whose items' texts are given
     if not items:
         return "[]"
     inner = newline + "  "
-    return "[" + inner + ("," + inner).join([_row(r, inner, rows) for r in items]) + newline + "]"
-
-
-def _row(row, newline, rows):
-    # A record row is a non-empty tuple of exact ints (WeightedGraph's
-    # rule), so the tuple can key the memo: no bool can pose as an int in it.
-    key = (row, newline)
-    text = rows.get(key)
-    if text is None:
-        inner = newline + "  "
-        text = rows[key] = "[" + inner + ("," + inner).join(map(int.__repr__, row)) + newline + "]"
-    return text
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _emit(payload):

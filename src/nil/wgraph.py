@@ -165,16 +165,20 @@ def _closed(nbr, mask):
 
 def canonical_cycle(vertices):
     """Rotate/reflect a cycle so v1 is minimal and v2 < v_last."""
-    vs = list(vertices)
+    vs = tuple(vertices)
     if len(vs) < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {len(vs)}")
     if len(set(vs)) != len(vs):
         raise GraphError("cycle vertices must be pairwise distinct")
-    i = vs.index(min(vs))
-    vs = vs[i:] + vs[:i]
-    if vs[1] > vs[-1]:
-        vs = [vs[0]] + vs[1:][::-1]
-    return tuple(vs)
+    return _canonical(vs)
+
+
+def _canonical(cycle):
+    """canonical_cycle for a tuple of at least 3 distinct vertices, unchecked."""
+    i = cycle.index(min(cycle))
+    if i:
+        cycle = cycle[i:] + cycle[:i]
+    return cycle if cycle[1] < cycle[-1] else (cycle[0], *cycle[:0:-1])
 
 
 def is_bipartite(G):
@@ -222,31 +226,36 @@ def _odd_cycle_from_conflict(parent, u, v):
 def chordless_cycles(G, max_count=DEFAULT_CYCLE_CAP):
     """All chordless (induced) cycles, canonical form, sorted.
 
-    Extends induced paths anchored at their minimum vertex; a path closes
-    into a cycle only through a vertex adjacent to both ends and nothing
-    in between.  Raises ResourceLimitError past `max_count` cycles.
+    Extends induced paths from anchors taken in decreasing degree order,
+    ties by label: each cycle is found once, from its first vertex in that
+    order, among the vertices not yet anchored, so the hubs' many paths
+    leave the later searches.  A path closes into a cycle only through a
+    vertex adjacent to both ends and nothing in between, and of the
+    anchor's two cycle neighbours the smaller label comes second.  The
+    cycles are then rotated and reflected into canonical form and sorted.
+    Raises ResourceLimitError past `max_count` cycles.
     """
     cycles = []
     nbr = G.nbr
-    for a in G.vertices():
-        anchor = nbr[a]
-        below = (1 << (a + 1)) - 1  # vertices <= a
-        seconds = anchor & ~below
+    done = 1  # bit 0 and the anchors already searched
+    for a in sorted(G.vertices(), key=G.degree, reverse=True):  # stable: ties by label
+        done |= 1 << a
+        anchor = nbr[a] & ~done
+        seconds = anchor
         while seconds:
             low = seconds & -seconds
-            seconds ^= low
-            b = low.bit_length() - 1
-            # a vertex adjacent to the anchor closes the path into a cycle;
-            # the canonical form needs it above the second vertex
-            closing = anchor & ~((low << 1) - 1)
+            # the anchor neighbours above the second vertex b close its paths
+            seconds = closing = seconds ^ low
+            if not closing:
+                break
             # A frame holds the vertices still to try as the path's next
-            # vertex y, and `blocked`: the vertices <= a, the path through
+            # vertex y, and `blocked`: the anchors so far, the path through
             # y, and the neighbours of the path's interior once y has
             # joined.  y's candidates are nbr[y] & ~blocked.  The stack is
             # explicit, so the path's length is not bounded by the
             # recursion limit.
             path = [a]
-            stack = [(low, below | low)]
+            stack = [(low, done | low)]
             while stack:
                 todo, blocked = stack[-1]
                 if not todo:
@@ -266,11 +275,16 @@ def chordless_cycles(G, max_count=DEFAULT_CYCLE_CAP):
                 if len(cycles) > max_count:
                     raise ResourceLimitError(f"chordless cycle count exceeds cap {max_count}")
                 extend = candidates & ~anchor
-                if extend:
+                # once y is interior, a closer next to it is blocked for good
+                if extend and closing & ~(blocked | nbr[y]):
                     stack.append((extend, blocked | nbr[y]))
                 else:
                     path.pop()
-    cycles.sort(key=lambda c: (len(c), c))
+    # in place, so the list holds each cycle once, and only below the cap
+    for i, cycle in enumerate(cycles):
+        cycles[i] = _canonical(cycle)
+    cycles.sort()
+    cycles.sort(key=len)  # stable: by length, then by vertices
     return cycles
 
 
@@ -367,35 +381,44 @@ def disjoint_odd_pairs(G, odd, barred=()):
     c1 listed before c2, that no edge of `barred` joins; cross lists the
     (u, v, w) edges, u < v, joining them.
 
-    `barred` holds (u, v) edges.  A pair is rejected by one AND of c2's
-    vertex mask against c1's, widened by the vertices that c1's barred
-    edges reach, and `cross` is built only for the pairs yielded.
+    `barred` holds (u, v) edges.  An index built once holds, for each
+    vertex x, the bitset `near[x]` of the cycles through x or through a
+    vertex that a barred edge joins to x; c1's partners are then the cycles
+    after it outside the union of `near` over c1's vertices, read off one
+    bitset in list order, so no rejected pair is visited.  `cross` is built
+    only for the pairs yielded.
     """
     # two vertex-disjoint cycles need two cycles and six vertices
     if len(odd) < 2 or G.n < 6:
         return
-    reach = [0] * (G.n + 1)
-    for u, v in barred:
-        reach[u] |= 1 << v
-        reach[v] |= 1 << u
-    masks = []
+    through = [0] * (G.n + 1)  # through[x]: the bitset of the cycles through x
+    bit = 1
     for c in odd:
-        mask = 0
         for x in c:
-            mask |= 1 << x
-        masks.append(mask)
+            through[x] |= bit
+        bit <<= 1
+    near = through[:]
+    for u, v in barred:
+        near[u] |= through[v]
+        near[v] |= through[u]
+    everything = bit - 1
     nbr = G.nbr
     for i, c1 in enumerate(odd):
-        reject = masks[i]
+        reject = 0
         for x in c1:
-            reject |= reach[x]
-        for j in range(i + 1, len(odd)):
-            if not masks[j] & reject:
-                c2 = odd[j]
-                yield c1, c2, [
-                    (min(x, y), max(x, y), G.weight(x, y))
-                    for x in c1 for y in c2 if nbr[x] >> y & 1
-                ]
+            reject |= near[x]
+        # bit 0 of `free` is cycle i + 1
+        free = (everything ^ reject) >> (i + 1)
+        j = i
+        while free:
+            skip = (free & -free).bit_length()
+            free >>= skip
+            j += skip
+            c2 = odd[j]
+            yield c1, c2, [
+                (min(x, y), max(x, y), G.weight(x, y))
+                for x in c1 for y in c2 if nbr[x] >> y & 1
+            ]
 
 
 def odd_cycle_condition(G):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -16,7 +16,7 @@ from nil.classifier import (
 )
 from nil.errors import GraphError, IdealError
 from nil.ideal import contains_power, edge_ideal
-from nil.wgraph import build_graph, odd_cycle_condition
+from nil.wgraph import build_graph, odd_chordless_cycles, odd_cycle_condition
 
 from _oracles import (
     brute_forbidden,
@@ -178,6 +178,22 @@ class TestClassify:
             G = random_graph_with_edge(rng, n_max=8, weights=(1, 2, 3))
             report = classify(G, config_cap=10**6)
             assert report.found == tuple(find_f1_f2_f3(G) + find_f4(G) + find_f5(G))
+
+    def test_found_matches_the_finders_on_every_small_graph(self):
+        # every labelled graph of GraphFamily(4, (1, 2)), the finders
+        # given the listed odd cycles
+        graphs = 0
+        for n in range(2, 5):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for weights in product((0, 1, 2), repeat=len(pairs)):
+                if not any(weights):
+                    continue
+                G = build_graph(n, [(u, v, w) for (u, v), w in zip(pairs, weights) if w])
+                odd = odd_chordless_cycles(G)
+                found = find_f1_f2_f3(G) + find_f4(G, odd) + find_f5(G, odd)
+                assert classify(G, config_cap=10**6).found == tuple(found)
+                graphs += 1
+        assert graphs == 3**1 - 1 + 3**3 - 1 + 3**6 - 1
 
     def test_priority_order(self):
         # heavy triangle plus heavy disjoint edge: F2, F3 and F4 all occur;

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nil.classifier import GraphFamily, cross_validate
+from nil.classifier import ForbiddenConfig, GraphFamily, classify, cross_validate
 from nil.cli import (
     _dumps,
     build_parser,
@@ -663,6 +663,41 @@ class TestRecordWriter:
         assert report["notes"] == ["F1 list truncated to 1000 of 1035"]
         assert [c["kind"] for c in report["configs"]].count("F4") == 46
         assert report["certificate"]["verified"] == "verified"
+
+    def test_interleaved_shapes(self):
+        # One process, one template cache: records of many shapes, written
+        # in turn at three depths, each checked against json.dumps.
+        def cycle(length, start, weight=1):
+            vs = range(start, start + length)
+            return [(v, v + 1, weight) for v in vs[:-1]] + [(vs[0], vs[-1], weight)]
+
+        graphs = [
+            # F4 on cycles of length 3, 5 and 7, each with a weight-10 pendant
+            build_graph(n + 3, cycle(n, 1) + [(n + 2, n + 3, 10)]) for n in (3, 5, 7)
+        ] + [
+            # F5 with no connector; its weight-12 triangle is an F2 as well
+            build_graph(8, cycle(3, 1, 12) + cycle(5, 4)),
+            # F5 with three connectors, weights 10, 11 and 13
+            build_graph(6, cycle(3, 1) + cycle(3, 4) + [(1, 4, 10), (2, 5, 11), (3, 6, 13)]),
+        ]
+        records = [c for G in graphs for c in classify(G).found]
+        # F5s on cycles 3 + 5 and 5 + 3, and rows split two ways over the
+        # same number of ints: equal counts, other shapes
+        records += [
+            ForbiddenConfig("F5", tuple(range(1, 9)), (), ((1, 2, 3), (4, 5, 6, 7, 8))),
+            ForbiddenConfig("F5", tuple(range(1, 9)), (), ((1, 2, 3, 4, 5), (6, 7, 8))),
+            ForbiddenConfig("F1", (1, 2, 3), ((1, 2, 10), (2, 3, 11))),
+            ForbiddenConfig("F1", (1, 2, 3), ((1, 2), (2, 3, 10, 11))),
+            ForbiddenConfig("F4", (1, 2, 3, 4), ((1, 2, 3),), ((1, 2, 3),), pendant=(4, 5)),
+        ]
+        kinds = [c.kind for c in records]
+        assert set(kinds) == {"F1", "F2", "F4", "F5"}
+        assert {len(c.cycles[0]) for c in records if c.kind == "F4"} >= {3, 5, 7}
+        assert {len(c.connectors) for c in records if c.kind == "F5"} >= {0, 3}
+        for doc in [*records, *records[::-1], records, {"configs": records[::2], "k": [records[1]]}]:
+            assert _dumps(doc) == json.dumps(
+                doc, indent=2, sort_keys=True, default=reference_config_payload
+            )
 
     def test_verified_certificates(self, classify_matches_reference):
         rng = random.Random(109)

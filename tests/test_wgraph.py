@@ -271,6 +271,25 @@ class TestChordlessCycles:
             held += verdict[0]
         assert 20 < held < 130  # both verdicts are exercised
 
+    def test_invariant_under_relabelling(self):
+        # Anchors follow degrees, not labels: relabelling moves the search,
+        # never the list.  The wheel's hub has the most neighbours and the
+        # highest label, so it is anchored first and each of its cycles
+        # needs rotating into canonical form.
+        rng = random.Random(45)
+        wheel = build_graph(9, [(i, i % 8 + 1) for i in range(1, 9)] + [(i, 9) for i in range(1, 9)])
+        assert chordless_cycles(wheel) == reference_chordless_cycles(wheel)
+        graphs = [wheel] + [random_sparse_graph(rng, n_max=20) for _ in range(60)]
+        for G in graphs:
+            cycles = chordless_cycles(G)
+            for _ in range(3):
+                image = list(G.vertices())
+                rng.shuffle(image)
+                pi = dict(zip(G.vertices(), image))
+                H = WeightedGraph(G.n, [(pi[u], pi[v], w) for (u, v), w in G.edges.items()])
+                moved = sorted(canonical_cycle([pi[x] for x in c]) for c in cycles)
+                assert chordless_cycles(H) == sorted(moved, key=len)
+
     def test_cap_raises_at_the_same_count(self):
         rng = random.Random(43)
         for _ in range(40):
