@@ -32,6 +32,7 @@ from .errors import GraphError, IdealError, ResourceLimitError
 from .ideal import _check_positive, contains_power, edge_ideal
 from .wgraph import (
     WeightedGraph,
+    cycles_through,
     disjoint_odd_pairs,
     odd_chordless_cycles,
 )
@@ -88,7 +89,8 @@ class ClassificationReport:
 
 
 def _edge_triple(G, u, v):
-    return (u, v, G.weight(u, v)) if u < v else (v, u, G.weight(u, v))
+    key = (u, v) if u < v else (v, u)
+    return (*key, G.edges[key])
 
 
 def find_f1_f2_f3(G):
@@ -128,41 +130,54 @@ def find_f1_f2_f3(G):
 
 
 def _cycle_edges(G, cycle):
-    m = len(cycle)
-    return tuple(
-        sorted(_edge_triple(G, cycle[i], cycle[(i + 1) % m]) for i in range(m))
-    )
+    return tuple(sorted(_edge_triple(G, cycle[i - 1], x) for i, x in enumerate(cycle)))
 
 
 def find_f4(G, odd=None):
     """All (chordless odd cycle, disjoint nontrivial edge) pairs with no
     edge between the cycle and the edge.  Cycle weights are unconstrained.
-    `odd`, when given, is odd_chordless_cycles(G)."""
+    `odd`, when given, is odd_chordless_cycles(G).
+
+    An F4 needs five vertices.  A pendant's admissible cycles are read off
+    the cycle index of `cycles_through`, the index the F5 pair search
+    builds too: they are the cycles outside the union of the index over
+    the pendant's closed neighbourhood, taken from one bitset.
+    """
+    if G.n < 5:
+        return []
     if odd is None:
         odd = odd_chordless_cycles(G)
     heavy_edges = G.nontrivial_edges()
     if not (odd and heavy_edges):
         return []
     nbr = G.nbr
-    ends = [(1 << u) | (1 << v) for u, v, _ in heavy_edges]
+    through = cycles_through(G, odd)
+    everything = (1 << len(odd)) - 1
+    cycle_edges = [None] * len(odd)
     configs = []
-    for cycle in odd:
-        # the cycle's closed neighbourhood: the pendant must avoid it
-        closed = 0
-        for x in cycle:
-            closed |= nbr[x] | (1 << x)
-        cycle_edges = None
-        for pendant, bits in zip(heavy_edges, ends):
-            if closed & bits:
-                continue
-            if cycle_edges is None:
-                cycle_edges = _cycle_edges(G, cycle)
-            u, v, _ = pendant
+    for pendant in heavy_edges:
+        u, v, _ = pendant
+        near = nbr[u] | nbr[v]  # the pendant's closed neighbourhood
+        reject = 0
+        while near:
+            low = near & -near
+            near ^= low
+            reject |= through[low.bit_length() - 1]
+        free = everything ^ reject
+        i = -1
+        while free:
+            skip = (free & -free).bit_length()
+            free >>= skip
+            i += skip
+            cycle = odd[i]
+            edges = cycle_edges[i]
+            if edges is None:
+                edges = cycle_edges[i] = _cycle_edges(G, cycle)
             configs.append(
                 ForbiddenConfig(
                     "F4",
                     vertices=tuple(sorted(cycle + (u, v))),
-                    edges=tuple(sorted(cycle_edges + (pendant,))),
+                    edges=tuple(sorted(edges + (pendant,))),
                     cycles=(cycle,),
                     pendant=pendant,
                 )
@@ -319,16 +334,20 @@ def classify(G, config_cap=DEFAULT_CONFIG_CAP):
         raise GraphError(f"config_cap must be an integer >= 0, got {config_cap!r}")
     if not G.edges:
         raise GraphError("classification needs at least one edge")
+    # listed on every graph, even below the 5 vertices an F4 needs: the
+    # benchmark's traced xval run expects this layer (ROADMAP item 7)
     odd = odd_chordless_cycles(G)
     f123 = find_f1_f2_f3(G)
     found = f123 + find_f4(G, odd) + find_f5(G, odd)  # grouped by kind, F1..F5
     notes = []
-    capped = []
-    for kind, group in groupby(found, key=attrgetter("kind")):
-        of_kind = list(group)
-        if len(of_kind) > config_cap:
-            notes.append(f"{kind} list truncated to {config_cap} of {len(of_kind)}")
-        capped += of_kind[:config_cap]
+    capped = found
+    if len(found) > config_cap:  # else no kind can exceed the cap
+        capped = []
+        for kind, group in groupby(found, key=attrgetter("kind")):
+            of_kind = list(group)
+            if len(of_kind) > config_cap:
+                notes.append(f"{kind} list truncated to {config_cap} of {len(of_kind)}")
+            capped += of_kind[:config_cap]
 
     primary = None
     for config in found:  # already in priority order

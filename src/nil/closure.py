@@ -194,9 +194,10 @@ class ClosureOracle:
         a - e_i is a closure point.  a - e_i is a staircase point as well,
         of the same row or of a row visited earlier, so a row's candidates
         end where the closure begins in the row or in one of the rows one
-        step below it.  One byte per box point marks that first closure
-        point of each row; no row has one before the first failure, so the
-        marks are allocated then.
+        step below it.  One entry per row holds the offset of that first
+        closure point plus one, or 0 if the row has none; no row has one
+        before the first failure, so the marks are allocated then, a byte
+        per row when rows are shorter than 256 points.
 
         A point a with <Y, a> < k * D for some cut has optimum below k, so
         it is skipped without a solve; a cut's bound grows along a row, so
@@ -225,18 +226,21 @@ class ClosureOracle:
             )
         strides = [prod(b + 1 for b in bounds[i + 1 :]) for i in range(I.n)]
         power_gens = self.power(k).gens
-        up = format(_upper_set(power_gens, bounds, strides, volume), f"0{volume}b")
+        # one string of volume + 3 characters: "0b1", then the box indices
+        up = bin(_upper_set(power_gens, bounds, strides, volume) | 1 << volume)
         # Rows run along the last axis j with room; the axes after j are 0,
         # so a row is a run of consecutive indices.
         j = max(i for i, b in enumerate(bounds) if b)
         width, tail = bounds[j] + 1, (0,) * (I.n - 1 - j)
         radices = [b + 1 for b in bounds[:j]][::-1]
+        row_strides = [s // width for s in strides[:j]]
         marked = None
         min_degree = k * min(sum(g) for g in I.gens)
         ceiling = sum(bounds) + 1
         failures = []
         for start, length in _staircase_rows(up, width):
-            rest, digits = start // width, []
+            row = rest = start // width
+            digits = []
             for z in radices:
                 rest, d = divmod(rest, z)
                 digits.append(d)
@@ -249,11 +253,11 @@ class ClosureOracle:
             if failures:
                 # The closure starts no later than in a row one step below;
                 # rows are marked only once some failure has been found.
-                for p, s in zip(prefix, strides):
+                for p, s in zip(prefix, row_strides):
                     if p:
-                        m = marked.find(1, start - s, start - s + first)
-                        if m >= 0:
-                            first = m - start + s
+                        m = marked[row - s]
+                        if m and m <= first:
+                            first = m - 1
             while True:
                 # Each cut rejects a prefix of the row: move x past it.
                 for Y, D in cuts:
@@ -270,14 +274,15 @@ class ClosureOracle:
                     cuts.append(result.cut)
                 if result.num >= k * result.den:
                     if not failures:
-                        marked = bytearray(volume)
+                        rows = volume // width
+                        marked = bytearray(rows) if width < 256 else [0] * rows
                     failures.append(a)
                     first = x
                     if witness_only:
                         ceiling = degree + x
                     break
             if first < stop:
-                marked[start + first] = 1
+                marked[row] = first + 1
             if ceiling <= min_degree:
                 break
         if witness_only:
@@ -302,7 +307,8 @@ def _tile(block, width, count):
 
 def _upper_set(gens, bounds, strides, volume):
     """The up-set of gens in the box, as an int with box index i at bit
-    volume - 1 - i, so that its zero-padded binary digits run in index order.
+    volume - 1 - i, so that its binary digits below bit volume run in
+    index order.
 
     Starting from one bit per generator, axis i is swept bounds[i] times
     with U |= (U & M_i) >> stride_i, where M_i holds the points with
@@ -323,14 +329,16 @@ def _upper_set(gens, bounds, strides, volume):
 def _staircase_rows(up, width):
     """(start, length) of the staircase part of each row, in index order.
 
-    up holds one character per box index, "1" on the up-set; rows are runs
-    of width consecutive indices.  The staircase is a down-set, so it holds
-    a prefix of each row, and rows without one are skipped.
+    up is bin(U | 1 << volume) for the up-set U of _upper_set: after its
+    prefix "0b1" it holds one character per box index, "1" on the up-set,
+    and no padded copy of it is ever built.  Rows are runs of width
+    consecutive indices.  The staircase is a down-set, so it holds a prefix
+    of each row, and rows without one are skipped.
     """
-    start = up.find("0")
+    start = up.find("0", 3)
     while start >= 0:
         end = up.find("1", start, start + width)
-        yield start, (width if end < 0 else end - start)
+        yield start - 3, (width if end < 0 else end - start)
         start = up.find("0", start + width)
 
 

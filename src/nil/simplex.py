@@ -52,16 +52,21 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
     for col in columns:
         if len(col) != m:
             raise ValueError("column length does not match rhs")
-        if all(x == 0 for x in col):
+        if not any(col):
             raise ValueError("zero column makes the LP unbounded")
 
-    live = [i for i in range(m) if any(col[i] for col in columns)]
-    m = len(live)
+    live = []
     rows = []
+    for i, row in enumerate(zip(*columns)):
+        if any(row):
+            live.append(i)
+            rows.append(row)
+    m = len(live)
+    slacks = [0] * (m + 1)
     for r, i in enumerate(live):
-        row = [col[i] for col in columns] + [0] * m + [rhs[i]]
+        row = rows[r] = [*rows[r], *slacks]
         row[s + r] = 1
-        rows.append(row)
+        row[-1] = rhs[i]
     # Row m is the objective: reduced costs, then the optimum so far.
     rows.append([-1] * s + [0] * (m + 1))
     # Row i stands for rows[i] / dens[i].

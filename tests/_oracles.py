@@ -333,10 +333,11 @@ def reference_odd_cycle_condition(G):
 def reference_find_f4(G, odd):
     """classifier.find_f4 with the closed neighbourhood as a vertex set."""
     adj = neighbour_sets(G)
+    heavy = [e for e in G.edge_list() if e[2] > 1]
     configs = []
     for cycle in odd:
         closed = set(cycle).union(*(adj[x] for x in cycle))
-        for u, v, w in G.nontrivial_edges():
+        for u, v, w in heavy:
             if u in closed or v in closed:
                 continue
             configs.append(

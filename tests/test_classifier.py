@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -130,6 +131,25 @@ class TestFinders:
             f5 += len(configs)
         assert f4 > 1000 and f5 > 500
 
+    def test_f4_from_the_cycle_index_on_dense_graphs(self):
+        # dense graphs, where one cycle is admissible for several heavy
+        # edges: the pendants read their cycles off the shared cycle index
+        # and must list what the set-based finder lists, in its order
+        rng = random.Random(109)
+        f4 = shared = 0
+        for _ in range(400):
+            n = rng.randint(6, 9)
+            G = random_graph(rng, n_min=n, n_max=n, weights=(1, 2, 3), p=0.5)
+            G = build_graph(n, rng.sample(G.edge_list(), len(G.edges)))  # any edge order
+            assert G.nontrivial_edges() == tuple(e for e in G.edge_list() if e[2] > 1)
+            odd = [c for c in reference_chordless_cycles(G) if len(c) % 2 == 1]
+            configs = find_f4(G)
+            assert configs == reference_find_f4(G, odd)
+            f4 += len(configs)
+            pendants = Counter(c.cycles for c in configs)
+            shared += sum(count > 1 for count in pendants.values())
+        assert f4 > 100 and shared >= 10
+
 
 class TestClassify:
     def test_trivial_bipartite_graph(self):
@@ -162,6 +182,58 @@ class TestClassify:
 
         with pytest.raises(GraphError):
             classify(WeightedGraph(2))
+
+    def test_small_graphs_still_list_cycles_and_call_find_f4(self, monkeypatch):
+        # Below 5 vertices no F4 or F5 fits, and find_f4 returns [] at
+        # once, yet classify still lists the chordless cycles and calls
+        # find_f4: the benchmark's traced xval run (graphs of at most 4
+        # vertices) expects the wgraph.chordless_cycles layer.  Skipping
+        # the cycle search there waits on ROADMAP item 7.
+        import nil.classifier
+        import nil.wgraph
+
+        calls = []
+        cycles, f4 = nil.wgraph.chordless_cycles, nil.classifier.find_f4
+
+        def cycles_spy(G, *args):
+            calls.append(("chordless_cycles", G.n))
+            return cycles(G, *args)
+
+        def f4_spy(G, *args):
+            calls.append(("find_f4", G.n))
+            return f4(G, *args)
+
+        monkeypatch.setattr(nil.wgraph, "chordless_cycles", cycles_spy)
+        monkeypatch.setattr(nil.classifier, "find_f4", f4_spy)
+        for G in (
+            build_graph(2, [(1, 2, 2)]),
+            triangle((2, 1, 1)),
+            build_graph(4, [(1, 2, 1), (2, 3, 1), (1, 3, 1), (3, 4, 2)]),
+            build_graph(4, [(u, v, 3) for u, v in combinations(range(1, 5), 2)]),
+        ):
+            calls.clear()
+            classify(G)
+            assert calls == [("chordless_cycles", G.n), ("find_f4", G.n)]
+
+    def test_caps_only_a_kind_over_the_cap(self):
+        # The per-kind truncation runs only once the whole list exceeds
+        # the cap; every cap must give what capping each kind gives.  A
+        # heavy 3-edge path beside a triangle holds 2 F1 and 3 F4; a
+        # triangle beside a heavy edge holds one F4 alone.
+        path = build_graph(7, [(1, 2, 2), (2, 3, 2), (3, 4, 2), (5, 6, 1), (6, 7, 1), (5, 7, 1)])
+        for G, kinds in ((path, {"F1": 2, "F4": 3}), (F4_GRAPH, {"F4": 1})):
+            everything = classify(G, config_cap=10**6).found
+            assert Counter(c.kind for c in everything) == kinds
+            for cap in range(len(everything) + 2):
+                report = classify(G, config_cap=cap)
+                expected, notes = [], []
+                for kind in sorted(kinds):
+                    of_kind = [c for c in everything if c.kind == kind]
+                    expected += of_kind[:cap]
+                    if len(of_kind) > cap:
+                        notes.append(f"{kind} list truncated to {cap} of {len(of_kind)}")
+                assert report.found == tuple(expected)
+                assert [n for n in report.notes if "truncated" in n] == notes
 
     def test_normal_implies_integrally_closed(self):
         rng = random.Random(103)

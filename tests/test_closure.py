@@ -471,6 +471,18 @@ class TestClosureOracle:
         assert power_calls == []
 
 
+def assert_same_as_the_product_walk(walk, plain, k, witness_only):
+    """walk.scan and product_scan on plain: the same failures and cuts, and
+    in a full scan the same generators.  Returns the failures."""
+    found, failures = walk.scan(k, DEFAULT_BOX_BUDGET, witness_only)
+    expected_found, expected_failures = product_scan(plain, k, witness_only)
+    assert failures == expected_failures
+    assert walk.cuts == plain.cuts
+    if not witness_only:
+        assert sorted(found) == sorted(expected_found)
+    return failures
+
+
 class TestStaircaseWalk:
     def test_up_set_matches_divisibility(self):
         rng = random.Random(131)
@@ -481,12 +493,21 @@ class TestStaircaseWalk:
             bounds = [k * max(g[i] for g in I.gens) for i in range(I.n)]
             volume = prod(b + 1 for b in bounds)
             strides = [prod(b + 1 for b in bounds[i + 1 :]) for i in range(I.n)]
-            up = format(nil.closure._upper_set(gens, bounds, strides, volume), f"0{volume}b")
+            up = nil.closure._upper_set(gens, bounds, strides, volume)
             expected = "".join(
                 "1" if any(divides(g, a) for g in gens) else "0"
                 for a in product(*[range(b + 1) for b in bounds])
             )
-            assert up == expected
+            assert format(up, f"0{volume}b") == expected
+            # the scan reads rows off the unpadded string, past "0b1"
+            width = bounds[-1] + 1
+            rows = [
+                (start, row.index("1") if "1" in row else width)
+                for start in range(0, volume, width)
+                for row in [expected[start : start + width]]
+                if row[0] == "0"
+            ]
+            assert list(nil.closure._staircase_rows(bin(up | 1 << volume), width)) == rows
 
     def test_matches_the_product_walk(self):
         # The staircase walk solves the LPs of the walk of the whole box, in
@@ -499,14 +520,25 @@ class TestStaircaseWalk:
             for witness_only in (False, True):
                 walk, plain = ClosureOracle(I), ClosureOracle(I)
                 for k in (1, 2, 3):
-                    found, failures = walk.scan(k, DEFAULT_BOX_BUDGET, witness_only)
-                    expected_found, expected_failures = product_scan(plain, k, witness_only)
-                    assert failures == expected_failures
-                    assert walk.cuts == plain.cuts
-                    if not witness_only:
-                        assert sorted(found) == sorted(expected_found)
+                    failures = assert_same_as_the_product_walk(walk, plain, k, witness_only)
                     with_failures += bool(failures)
         assert with_failures >= 300
+
+    def test_rows_of_256_points_or_more(self):
+        # Rows this long keep their marks in a list, not a bytearray.
+        rng = random.Random(149)
+        wide_failures = 0
+        for _ in range(60):
+            I = random_ideal(rng, n_max=3, max_gens=3, entry_max=3)
+            I = MonomialIdeal(I.n, [g[:-1] + (130 * g[-1],) for g in I.gens])
+            for k in (1, 2):
+                bounds = nil.closure._box_bounds(I, k)
+                width = bounds[max(i for i, b in enumerate(bounds) if b)] + 1
+                for witness_only in (False, True):
+                    walk, plain = ClosureOracle(I), ClosureOracle(I)
+                    failures = assert_same_as_the_product_walk(walk, plain, k, witness_only)
+                    wide_failures += width >= 256 and bool(failures)
+        assert wide_failures >= 20
 
     def test_axes_without_room_are_walked_past(self):
         # The last variable never occurs, so rows run along the one before it.

@@ -98,6 +98,12 @@ def test_zero_column_rejected():
         maximize_total([(0, 0)], (1, 1))
 
 
+def test_zero_column_among_nonzero_columns_rejected():
+    for columns in ([(0, 0), (1, 2)], [(1, 2), (0, 0), (3, 1)], [(1, 2), (0, 0)]):
+        with pytest.raises(ValueError, match="zero column"):
+            maximize_total(columns, (4, 4))
+
+
 def test_pivot_cap():
     with pytest.raises(ResourceLimitError, match="cap 0"):
         maximize_total([(1, 1)], (2, 2), pivot_cap=0)
@@ -169,24 +175,58 @@ def random_packing_lp(rng):
             return columns, tuple(rhs)
 
 
+def assert_same_as_the_fraction_simplex(columns, rhs):
+    """The same answer, in the same number of pivots, as fraction_simplex;
+    returns (result, pivots, ties)."""
+    opt, coeffs, dual, pivots, ties = fraction_simplex(columns, rhs)
+    result = maximize_total(columns, rhs, pivot_cap=pivots)
+    assert_integer_form(result)
+    # Equal as rationals, and the same least denominators.
+    assert result == (
+        (opt.numerator, opt.denominator),
+        integer_cut(coeffs),
+        integer_cut(dual),
+    )
+    if pivots:
+        with pytest.raises(ResourceLimitError):
+            maximize_total(columns, rhs, pivot_cap=pivots - 1)
+    return result, pivots, ties
+
+
 def test_same_pivots_and_answers_as_the_fraction_simplex():
     rng = random.Random(47)
     tied = degenerate = 0
     for _ in range(600):
         columns, rhs = random_packing_lp(rng)
-        opt, coeffs, dual, pivots, ties = fraction_simplex(columns, rhs)
-        result = maximize_total(columns, rhs, pivot_cap=pivots)
-        assert_integer_form(result)
-        # Equal as rationals, and the same least denominators.
-        assert result == (
-            (opt.numerator, opt.denominator),
-            integer_cut(coeffs),
-            integer_cut(dual),
-        )
-        if pivots:
-            with pytest.raises(ResourceLimitError):
-                maximize_total(columns, rhs, pivot_cap=pivots - 1)
+        _, pivots, ties = assert_same_as_the_fraction_simplex(columns, rhs)
         tied += ties > 0
         degenerate += 0 in rhs and pivots > 0
     assert tied >= 100
     assert degenerate >= 100
+
+
+def test_zero_rows_and_repeated_columns_match_the_fraction_simplex():
+    # The live rows are gathered in one pass over the columns' rows.  An
+    # all-zero row first, in the middle, last or in all three places must
+    # not move a pivot or an entry of the answer, and with a column
+    # repeated the answer must still be the fraction simplex's.
+    rng = random.Random(53)
+    for _ in range(200):
+        columns, rhs = random_packing_lp(rng)
+        m = len(rhs)
+        plain, _, _ = assert_same_as_the_fraction_simplex(columns, rhs)
+        for places in ([0], [m // 2], [m], [0, m // 2 + 1, m + 2]):
+            padded_cols, padded_rhs = [list(col) for col in columns], list(rhs)
+            for at in places:
+                for col in padded_cols:
+                    col.insert(at, 0)
+                padded_rhs.insert(at, rng.randint(0, 8))
+            padded, _, _ = assert_same_as_the_fraction_simplex(padded_cols, padded_rhs)
+            assert padded[:2] == plain[:2]
+            Y, Dy = padded[2]
+            assert [y for i, y in enumerate(Y) if i not in places] == list(plain[2][0])
+            assert all(Y[i] == 0 for i in places) and Dy == plain[2][1]
+        repeated = list(columns)
+        for _ in range(rng.randint(1, 2)):
+            repeated.insert(rng.randint(0, len(repeated)), rng.choice(columns))
+        assert assert_same_as_the_fraction_simplex(repeated, rhs)[0][0] == plain[0]
