@@ -32,7 +32,6 @@ from .errors import GraphError, IdealError, ResourceLimitError
 from .ideal import _check_positive, contains_power, edge_ideal
 from .wgraph import (
     WeightedGraph,
-    cycles_through,
     disjoint_odd_pairs,
     odd_chordless_cycles,
 )
@@ -136,13 +135,8 @@ def _cycle_edges(G, cycle):
 def find_f4(G, odd=None):
     """All (chordless odd cycle, disjoint nontrivial edge) pairs with no
     edge between the cycle and the edge.  Cycle weights are unconstrained.
-    `odd`, when given, is odd_chordless_cycles(G).
-
-    An F4 needs five vertices.  A pendant's admissible cycles are read off
-    the cycle index of `cycles_through`, the index the F5 pair search
-    builds too: they are the cycles outside the union of the index over
-    the pendant's closed neighbourhood, taken from one bitset.
-    """
+    `odd`, when given, is odd_chordless_cycles(G).  An F4 needs five
+    vertices, so smaller graphs have none."""
     if G.n < 5:
         return []
     if odd is None:
@@ -151,33 +145,25 @@ def find_f4(G, odd=None):
     if not (odd and heavy_edges):
         return []
     nbr = G.nbr
-    through = cycles_through(G, odd)
-    everything = (1 << len(odd)) - 1
-    cycle_edges = [None] * len(odd)
+    ends = [(1 << u) | (1 << v) for u, v, _ in heavy_edges]
     configs = []
-    for pendant in heavy_edges:
-        u, v, _ = pendant
-        near = nbr[u] | nbr[v]  # the pendant's closed neighbourhood
-        reject = 0
-        while near:
-            low = near & -near
-            near ^= low
-            reject |= through[low.bit_length() - 1]
-        free = everything ^ reject
-        i = -1
-        while free:
-            skip = (free & -free).bit_length()
-            free >>= skip
-            i += skip
-            cycle = odd[i]
-            edges = cycle_edges[i]
-            if edges is None:
-                edges = cycle_edges[i] = _cycle_edges(G, cycle)
+    for cycle in odd:
+        # the cycle's closed neighbourhood: the pendant must avoid it
+        closed = 0
+        for x in cycle:
+            closed |= nbr[x] | (1 << x)
+        cycle_edges = None
+        for pendant, bits in zip(heavy_edges, ends):
+            if closed & bits:
+                continue
+            if cycle_edges is None:
+                cycle_edges = _cycle_edges(G, cycle)
+            u, v, _ = pendant
             configs.append(
                 ForbiddenConfig(
                     "F4",
                     vertices=tuple(sorted(cycle + (u, v))),
-                    edges=tuple(sorted(edges + (pendant,))),
+                    edges=tuple(sorted(cycle_edges + (pendant,))),
                     cycles=(cycle,),
                     pendant=pendant,
                 )
@@ -340,14 +326,12 @@ def classify(G, config_cap=DEFAULT_CONFIG_CAP):
     f123 = find_f1_f2_f3(G)
     found = f123 + find_f4(G, odd) + find_f5(G, odd)  # grouped by kind, F1..F5
     notes = []
-    capped = found
-    if len(found) > config_cap:  # else no kind can exceed the cap
-        capped = []
-        for kind, group in groupby(found, key=attrgetter("kind")):
-            of_kind = list(group)
-            if len(of_kind) > config_cap:
-                notes.append(f"{kind} list truncated to {config_cap} of {len(of_kind)}")
-            capped += of_kind[:config_cap]
+    capped = []
+    for kind, group in groupby(found, key=attrgetter("kind")):
+        of_kind = list(group)
+        if len(of_kind) > config_cap:
+            notes.append(f"{kind} list truncated to {config_cap} of {len(of_kind)}")
+        capped += of_kind[:config_cap]
 
     primary = None
     for config in found:  # already in priority order

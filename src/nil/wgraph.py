@@ -376,40 +376,32 @@ def odd_chordless_cycles(G):
     return [c for c in chordless_cycles(G) if len(c) % 2 == 1]
 
 
-def cycles_through(G, cycles):
-    """The cycle index: entry x is the bitset of the cycles through vertex
-    x, bit i standing for cycles[i]; entry 0 is 0."""
-    through = [0] * (G.n + 1)
-    bit = 1
-    for c in cycles:
-        for x in c:
-            through[x] |= bit
-        bit <<= 1
-    return through
-
-
 def disjoint_odd_pairs(G, odd, barred=()):
     """Yield (c1, c2, cross) for every two vertex-disjoint cycles of `odd`,
     c1 listed before c2, that no edge of `barred` joins; cross lists the
     (u, v, w) edges, u < v, joining them.
 
-    `barred` holds (u, v) edges.  The cycle index of `cycles_through`,
-    which the F4 finder reads too, is built once and widened to
-    `near[x]`, the bitset of the cycles through x or through a vertex that
-    a barred edge joins to x; c1's partners are then the cycles after it
-    outside the union of `near` over c1's vertices, read off one bitset in
-    list order, so no rejected pair is visited.  `cross` is built only for
-    the pairs yielded.
+    `barred` holds (u, v) edges.  An index built once holds, for each
+    vertex x, the bitset `near[x]` of the cycles through x or through a
+    vertex that a barred edge joins to x; c1's partners are then the cycles
+    after it outside the union of `near` over c1's vertices, read off one
+    bitset in list order, so no rejected pair is visited.  `cross` is built
+    only for the pairs yielded.
     """
     # two vertex-disjoint cycles need two cycles and six vertices
     if len(odd) < 2 or G.n < 6:
         return
-    through = cycles_through(G, odd)
+    through = [0] * (G.n + 1)  # through[x]: the bitset of the cycles through x
+    bit = 1
+    for c in odd:
+        for x in c:
+            through[x] |= bit
+        bit <<= 1
     near = through[:]
     for u, v in barred:
         near[u] |= through[v]
         near[v] |= through[u]
-    everything = (1 << len(odd)) - 1
+    everything = bit - 1
     nbr = G.nbr
     for i, c1 in enumerate(odd):
         reject = 0

@@ -131,10 +131,10 @@ class TestFinders:
             f5 += len(configs)
         assert f4 > 1000 and f5 > 500
 
-    def test_f4_from_the_cycle_index_on_dense_graphs(self):
+    def test_f4_on_dense_graphs(self):
         # dense graphs, where one cycle is admissible for several heavy
-        # edges: the pendants read their cycles off the shared cycle index
-        # and must list what the set-based finder lists, in its order
+        # edges: the finder must list what the set-based finder lists, in
+        # its order, whatever order the edges were given in
         rng = random.Random(109)
         f4 = shared = 0
         for _ in range(400):
@@ -216,8 +216,7 @@ class TestClassify:
             assert calls == [("chordless_cycles", G.n), ("find_f4", G.n)]
 
     def test_caps_only_a_kind_over_the_cap(self):
-        # The per-kind truncation runs only once the whole list exceeds
-        # the cap; every cap must give what capping each kind gives.  A
+        # Every cap must give what capping each kind on its own gives.  A
         # heavy 3-edge path beside a triangle holds 2 F1 and 3 F4; a
         # triangle beside a heavy edge holds one F4 alone.
         path = build_graph(7, [(1, 2, 2), (2, 3, 2), (3, 4, 2), (5, 6, 1), (6, 7, 1), (5, 7, 1)])
