@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, product
 from math import prod
 from operator import mul
 
@@ -199,11 +200,24 @@ class ClosureOracle:
         before the first failure, so the marks are allocated then, a byte
         per row when rows are shorter than 256 points.
 
+        A row's prefix, its coordinates before the row axis, is read off
+        one itertools.product iterator over those axes, advanced in step
+        with the rows; the rows outside the staircase are skipped in bulk
+        with islice.
+
         A point a with <Y, a> < k * D for some cut has optimum below k, so
         it is skipped without a solve; a cut's bound grows along a row, so
-        it rejects a prefix of the row.  The duals of this scan's solves
-        join the cuts.  The points solved are those the plain product walk
-        solves, in the same order, so the cuts and every result match it.
+        it rejects a prefix of the row.  The scan tests the cuts as rules
+        (k * D, Y[:j], Y[j]) of its own, one per cut of the oracle at its
+        start and one more for each cut its solves add.  A rule that
+        rejects the rest of a row moves to the front of the scan's list,
+        since rows near it tend to be closed by it as well.  Each rule's
+        bound on a row does not depend on the others, so after the rules
+        x is their largest bound, or past the row's candidates, in any
+        order: the rule order changes no solve, and the oracle's cuts keep
+        the order in which they were found.  The points solved are those
+        the plain product walk solves, in the same order, so the cuts and
+        every result match it.
 
         With witness_only, a failure of degree d lowers a degree ceiling to
         d, and every later point of degree >= d is skipped, unmarked: later
@@ -229,25 +243,33 @@ class ClosureOracle:
         # one string of volume + 3 characters: "0b1", then the box indices
         up = bin(_upper_set(power_gens, bounds, strides, volume) | 1 << volume)
         # Rows run along the last axis j with room; the axes after j are 0,
-        # so a row is a run of consecutive indices.
+        # so a row is a run of consecutive indices, and row r's prefix (its
+        # first j coordinates) is the r-th tuple of the product below.
         j = max(i for i, b in enumerate(bounds) if b)
         width, tail = bounds[j] + 1, (0,) * (I.n - 1 - j)
-        radices = [b + 1 for b in bounds[:j]][::-1]
+        prefixes = product(*[range(b + 1) for b in bounds[:j]])
+        next_row = 0
         row_strides = [s // width for s in strides[:j]]
+        # scan-local rules (k * D, Y[:j], Y[j]), one per cut
+        rules = [(k * D, Y[:j], Y[j]) for Y, D in cuts]
         marked = None
         min_degree = k * min(sum(g) for g in I.gens)
         ceiling = sum(bounds) + 1
         failures = []
         for start, length in _staircase_rows(up, width):
-            row = rest = start // width
-            digits = []
-            for z in radices:
-                rest, d = divmod(rest, z)
-                digits.append(d)
-            prefix = tuple(digits[::-1])
+            row = start // width
+            if row == next_row:
+                prefix = next(prefixes)
+            else:
+                prefix = next(islice(prefixes, row - next_row, None))
+            next_row = row + 1
             degree = sum(prefix)
-            x = max(0, min_degree - degree)
-            stop = first = min(length, ceiling - degree)
+            x = min_degree - degree
+            if x < 0:
+                x = 0
+            stop = first = ceiling - degree
+            if first > length:
+                stop = first = length
             if x >= stop:
                 continue
             if failures:
@@ -258,20 +280,28 @@ class ClosureOracle:
                         m = marked[row - s]
                         if m and m <= first:
                             first = m - 1
-            while True:
-                # Each cut rejects a prefix of the row: move x past it.
-                for Y, D in cuts:
-                    if x >= first:
-                        break
-                    need = k * D - sum(map(mul, Y, prefix))
-                    if need > Y[j] * x:
-                        x = -(-need // Y[j]) if Y[j] else first
+            while x < first:
+                # Each rule rejects a prefix of the row: move x past it.  A
+                # rule that rejects the rest of the row is tried first from
+                # then on.
+                for rule in rules:
+                    kD, Y, y = rule
+                    need = kD - sum(map(mul, Y, prefix))
+                    if need > y * x:
+                        x = -(-need // y) if y else first
+                        if x >= first:
+                            if rule is not rules[0]:
+                                rules.remove(rule)
+                                rules.insert(0, rule)
+                            break
                 if x >= first:
                     break
                 a = prefix + (x,) + tail
                 result = lp_max_weight(I, a)
                 if result.cut not in cuts:
                     cuts.append(result.cut)
+                    Y, D = result.cut
+                    rules.append((k * D, Y[:j], Y[j]))
                 if result.num >= k * result.den:
                     if not failures:
                         rows = volume // width

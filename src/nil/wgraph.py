@@ -18,8 +18,10 @@ from .errors import GraphError, ResourceLimitError
 
 DEFAULT_CYCLE_CAP = 10**6
 # Every vertex gets a neighbour mask and a report entry, so a graph file
-# cannot ask for more than this many.
-_MAX_VERTICES = 10**5
+# cannot ask for more than this many.  A mask is as wide as its vertex's
+# highest neighbour label, so the masks of n vertices hold up to n * n
+# bits: at this cap, 2^30 bits (128 MiB), refused before any is built.
+_MAX_VERTICES = 2**15
 
 
 class WeightedGraph:

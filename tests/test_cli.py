@@ -182,6 +182,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "cap" in err
 
+    def test_vertex_cap_bounds_the_neighbour_masks(self, tmp_path, capsys):
+        # A star centred at the last label would give every vertex a mask
+        # as wide as the graph: the cap of 2^15 vertices bounds all masks
+        # at 2^30 bits.  One vertex past it is refused; the cap itself is not.
+        path = tmp_path / "star.txt"
+        path.write_text("vertices 32769\n" + "".join(f"edge {v} 32769\n" for v in range(1, 32769)))
+        assert main(["compact", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: vertex count 32769 exceeds the cap 32768\n"
+        path.write_text("vertices 32768\nedge 1 2\n")
+        assert main(["classify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["graph"]["vertices"] == 32768
+
     def test_long_cycle_classifies(self, tmp_path, capsys):
         n = 1500
         path = tmp_path / "c1500.txt"

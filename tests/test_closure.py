@@ -523,6 +523,21 @@ class TestStaircaseWalk:
                     failures = assert_same_as_the_product_walk(walk, plain, k, witness_only)
                     with_failures += bool(failures)
         assert with_failures >= 300
+        # Edge ideals on 5 and 6 vertices: rows with prefixes over several
+        # axes, staircase rows skipped in bulk, and scans that hold enough
+        # cuts for the scan's own rule order to part from the oracle's.
+        rng = random.Random(157)
+        with_failures = 0
+        for n, weights, count in ((5, (1, 2, 3), 12), (6, (1, 2), 12)):
+            for _ in range(count):
+                G = random_graph_with_edge(rng, n_min=n, n_max=n, weights=weights)
+                I = edge_ideal(G)
+                for witness_only in (False, True):
+                    walk, plain = ClosureOracle(I), ClosureOracle(I)
+                    for k in (1, 2):
+                        failures = assert_same_as_the_product_walk(walk, plain, k, witness_only)
+                        with_failures += bool(failures)
+        assert with_failures >= 10
 
     def test_rows_of_256_points_or_more(self):
         # Rows this long keep their marks in a list, not a bytearray.
