@@ -321,7 +321,7 @@ def classify(G, config_cap=DEFAULT_CONFIG_CAP):
     if not G.edges:
         raise GraphError("classification needs at least one edge")
     # listed on every graph, even below the 5 vertices an F4 needs: the
-    # benchmark's traced xval run expects this layer (ROADMAP item 7)
+    # benchmark's traced xval run expects this layer (ROADMAP item 1)
     odd = odd_chordless_cycles(G)
     f123 = find_f1_f2_f3(G)
     found = f123 + find_f4(G, odd) + find_f5(G, odd)  # grouped by kind, F1..F5

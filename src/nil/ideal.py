@@ -45,10 +45,6 @@ def first_divisor(kept, a):
     return None
 
 
-def exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _check_exponent(a, n=None):
     if n is not None and len(a) != n:
         raise IdealError(f"exponent length {len(a)} does not match ambient {n}")

@@ -183,46 +183,55 @@ def _canonical(cycle):
     return cycle if cycle[1] < cycle[-1] else (cycle[0], *cycle[:0:-1])
 
 
+def _fundamental_cycles(G):
+    """Yield (path, i) for each back edge of a depth-first search of G: the
+    tree path from the search's root down to the back edge's deeper end, and
+    the index on it of the other end, an ancestor.  path[i:] is the
+    fundamental cycle, closed by the back edge from its last vertex to its
+    first.
+
+    Iterative, over the neighbour masks: roots are taken in ascending order
+    and each vertex's lowest unseen neighbour first.  In a depth-first
+    search every non-tree edge joins a vertex to an ancestor, and a finished
+    vertex has no unseen neighbour, so a vertex's seen neighbours when it
+    is reached are its ancestors; its back edges are read off then.  `path`
+    is the search's own stack: read it before the next step.
+    """
+    nbr = G.nbr
+    depth = [0] * (G.n + 1)
+    seen = 1  # bit 0 and the vertices reached
+    for root in G.vertices():
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        path = [root]
+        while path:
+            todo = nbr[path[-1]] & ~seen
+            if not todo:
+                path.pop()
+                continue
+            low = todo & -todo
+            seen |= low
+            y = low.bit_length() - 1
+            depth[y] = len(path)
+            back = nbr[y] & seen & ~(1 << path[-1])  # the ancestors but the parent
+            path.append(y)
+            while back:
+                low = back & -back
+                back ^= low
+                yield path, depth[low.bit_length() - 1]
+
+
 def is_bipartite(G):
     """(True, None) when G has no odd cycle, else (False, odd_cycle).
 
-    BFS 2-coloring; a conflict edge is turned into a concrete odd cycle
-    witness via the BFS tree.
+    The fundamental cycles of a depth-first search span the cycle space, so
+    G has an odd cycle iff one of them is odd; the witness is the first.
     """
-    color = {}
-    parent = {}
-    for start in G.vertices():
-        if start in color:
-            continue
-        color[start] = 0
-        parent[start] = None
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for y in _bits(G.nbr[x]):
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    parent[y] = x
-                    queue.append(y)
-                elif color[y] == color[x]:
-                    return False, _odd_cycle_from_conflict(parent, x, y)
+    for path, i in _fundamental_cycles(G):
+        if (len(path) - i) % 2:
+            return False, _canonical(tuple(path[i:]))
     return True, None
-
-
-def _odd_cycle_from_conflict(parent, u, v):
-    anc_u = [u]
-    while parent[anc_u[-1]] is not None:
-        anc_u.append(parent[anc_u[-1]])
-    index_u = {x: i for i, x in enumerate(anc_u)}
-    path_v = [v]
-    while path_v[-1] not in index_u:
-        path_v.append(parent[path_v[-1]])
-    lca = path_v[-1]
-    up = anc_u[: index_u[lca] + 1]  # u .. lca
-    cycle = up + path_v[-2::-1]  # lca-side of v back down to v
-    return canonical_cycle(cycle)
 
 
 def chordless_cycles(G, max_count=DEFAULT_CYCLE_CAP):
@@ -290,58 +299,6 @@ def chordless_cycles(G, max_count=DEFAULT_CYCLE_CAP):
     return cycles
 
 
-def biconnected_blocks(G):
-    """Biconnected components as lists of edges (iterative Hopcroft-Tarjan).
-
-    Isolated vertices contribute no block.  Deterministic: neighbors are
-    visited in sorted order and blocks are listed in discovery order.
-    """
-    nbr = G.nbr
-    disc = {}
-    low = {}
-    blocks = []
-    edge_stack = []
-    counter = 0
-    for root in G.vertices():
-        if root in disc or not nbr[root]:
-            continue
-        stack = [(root, None, iter(_bits(nbr[root])))]
-        disc[root] = low[root] = counter
-        counter += 1
-        while stack:
-            x, parent_edge, it = stack[-1]
-            advanced = False
-            for y in it:
-                key = (x, y) if x < y else (y, x)
-                if y not in disc:
-                    edge_stack.append(key)
-                    disc[y] = low[y] = counter
-                    counter += 1
-                    stack.append((y, key, iter(_bits(nbr[y]))))
-                    advanced = True
-                    break
-                elif key != parent_edge and disc[y] < disc[x]:
-                    edge_stack.append(key)
-                    low[x] = min(low[x], disc[y])
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                px = stack[-1][0]
-                low[px] = min(low[px], low[x])
-                if low[x] >= disc[px]:
-                    # px is an articulation point (or root); pop one block
-                    key = (px, x) if px < x else (x, px)
-                    block = []
-                    while True:
-                        e = edge_stack.pop()
-                        block.append(e)
-                        if e == key:
-                            break
-                    blocks.append(block)
-    return blocks
-
-
 def _cycle_blocks(G):
     """Vertex masks of the blocks of G that are cycles, or None when G has
     an even cycle.
@@ -350,21 +307,26 @@ def _cycle_blocks(G):
     cycle (a 2-connected non-cycle block contains a theta subgraph, and one
     of a theta's three cycles is always even).  Such blocks hold at most
     3(n - 1)/2 edges in all, so a denser graph has an even cycle without a
-    block pass.  When the answer is not None, every cycle of G is one of
+    search.  Otherwise the blocks that are cycles are the fundamental cycles
+    of one depth-first search, when those are odd and share no edge: two
+    cycles that share an edge hold a theta, and edge-disjoint cycles leave
+    no other cycle.  When the answer is not None, every cycle of G is one of
     these blocks.
     """
     if G.n and 2 * len(G.edges) > 3 * (G.n - 1):
         return None
     cycles = []
-    for block in biconnected_blocks(G):
-        if len(block) == 1:
-            continue
-        verts = 0
-        for u, v in block:
-            verts |= (1 << u) | (1 << v)
-        if len(block) != verts.bit_count() or len(block) % 2 == 0:
-            return None  # 2-connected but not a cycle, or an even cycle
-        cycles.append(verts)
+    used = 0  # the tree edges on some cycle, each keyed by its child
+    for path, i in _fundamental_cycles(G):
+        if (len(path) - i) % 2 == 0:
+            return None
+        below = 0
+        for v in path[i + 1:]:
+            below |= 1 << v
+        if used & below:
+            return None
+        used |= below
+        cycles.append(below | 1 << path[i])
     return cycles
 
 

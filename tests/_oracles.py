@@ -676,6 +676,11 @@ def random_cactus(rng, n_min=8, n_max=30, max_chords=2):
     return WeightedGraph(n, [(label[u - 1], label[v - 1], 1) for u, v in edges])
 
 
+def exp_add(a, b):
+    """The exponent of the product of two monomials."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def random_exponent(rng, n, entry_max=3):
     return tuple(rng.randint(0, entry_max) for _ in range(n))
 

@@ -188,7 +188,7 @@ class TestClassify:
         # once, yet classify still lists the chordless cycles and calls
         # find_f4: the benchmark's traced xval run (graphs of at most 4
         # vertices) expects the wgraph.chordless_cycles layer.  Skipping
-        # the cycle search there waits on ROADMAP item 7.
+        # the cycle search there waits on ROADMAP item 1.
         import nil.classifier
         import nil.wgraph
 

@@ -12,7 +12,6 @@ from nil.ideal import (
     contains_power,
     divides,
     edge_ideal,
-    exp_add,
     minimalize,
     power,
     restrict,
@@ -22,6 +21,7 @@ from nil.wgraph import WeightedGraph, build_graph
 
 from _oracles import (
     brute_minimalize,
+    exp_add,
     random_exponent,
     random_graph_with_edge,
     random_ideal,

@@ -215,6 +215,16 @@ class TestBipartite:
                 assert len(witness) % 2 == 1
                 assert is_cycle_of(G, witness)
 
+    def test_exhaustive_small_witnesses_are_canonical_odd_cycles(self):
+        for n in range(6):
+            for G in all_graphs(n):
+                odd = [c for c in brute_all_cycles(G) if len(c) % 2 == 1]
+                ok, witness = is_bipartite(G)
+                assert ok == (not odd), G
+                if not ok:
+                    assert witness in odd, G
+                    assert witness == canonical_cycle(witness)
+
     def test_agrees_with_chordless_scan(self):
         rng = random.Random(13)
         for _ in range(100):
@@ -331,6 +341,33 @@ class TestEvenCycle:
         for _ in range(150):
             G = random_graph(rng, n_max=7)
             assert has_even_cycle(G) == brute_has_even_cycle(G)
+
+
+def assert_cycle_blocks_are_the_cycles(G):
+    """_cycle_blocks(G) is None iff G has an even cycle, else the vertex
+    masks of all its cycles."""
+    cycles = brute_all_cycles(G)
+    blocks = nil.wgraph._cycle_blocks(G)
+    if any(len(c) % 2 == 0 for c in cycles):
+        assert blocks is None, G
+    else:
+        assert blocks is not None, G
+        assert sorted(blocks) == sorted(sum(1 << v for v in c) for c in cycles), G
+    return blocks
+
+
+class TestCycleBlocks:
+    def test_exhaustive_small(self):
+        for n in range(6):
+            for G in all_graphs(n):
+                assert_cycle_blocks_are_the_cycles(G)
+
+    def test_random_cacti(self):
+        rng = random.Random(37)
+        lists = 0
+        for _ in range(400):
+            lists += assert_cycle_blocks_are_the_cycles(random_cactus(rng)) is not None
+        assert 100 <= lists <= 300, lists  # both answers are common
 
 
 class TestOddCycleCondition:
@@ -526,18 +563,18 @@ class TestClassifyCompact:
         assert len(seen) == 5 and min(seen.values()) >= 5, seen
 
     def test_one_block_pass_and_no_cycle_enumeration(self, monkeypatch):
-        blocks = nil.wgraph.biconnected_blocks
+        search = nil.wgraph._fundamental_cycles
         calls = []
 
-        def spy_blocks(G):
+        def spy_search(G):
             calls.append("blocks")
-            return blocks(G)
+            return search(G)
 
         def spy_cycles(G, *args, **kwargs):
             calls.append("cycles")
             return []
 
-        monkeypatch.setattr(nil.wgraph, "biconnected_blocks", spy_blocks)
+        monkeypatch.setattr(nil.wgraph, "_fundamental_cycles", spy_search)
         monkeypatch.setattr(nil.wgraph, "chordless_cycles", spy_cycles)
         rng = random.Random(31)
         tags = set()
