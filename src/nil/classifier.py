@@ -210,20 +210,20 @@ def _embed(G, assignments):
 
 def _f1_f2_roles(G, config):
     """Pick (x1, x2, x3) with w(x1,x2) <= w(x2,x3) [<= w(x1,x3) for F2],
-    lexicographically smallest among the valid role assignments."""
+    lexicographically smallest among the valid role assignments.  An F2's
+    vertices are sorted, so their permutations come in lexicographic
+    order and the first valid one is the smallest."""
     if config.kind == "F1":
         e1, e2 = config.edges
         (center,) = set(e1[:2]) & set(e2[:2])
         # the lighter end is x1; on equal weights, the smaller label
         (a, x1), (b, x3) = sorted((w, v if u == center else u) for u, v, w in (e1, e2))
         return x1, center, x3, a, b
-    candidates = []
     for x1, x2, x3 in permutations(config.vertices):
         a = G.weight(x1, x2)
         b = G.weight(x2, x3)
         if a <= b <= G.weight(x1, x3):
-            candidates.append((x1, x2, x3, a, b))
-    return min(candidates)
+            return x1, x2, x3, a, b
 
 
 def build_certificate(G, config):
@@ -235,8 +235,9 @@ def build_certificate(G, config):
     gives the product of all cycle variables at t=(|C1|+|C2|)/2.
 
     F4/F5 require every cycle edge to be trivial; otherwise a
-    CertificateError directs the caller to the F1/F2/F3 configuration
-    that is then guaranteed to exist.
+    CertificateError directs the caller to an F1/F2/F3 configuration,
+    which then exists.  classify never meets that case: it builds from the
+    head of the F1..F5 list, and an F4 or F5 there has no heavy cycle edge.
     """
     kind = config.kind
     if kind in ("F1", "F2"):
@@ -312,9 +313,11 @@ def classify(G, config_cap=DEFAULT_CONFIG_CAP):
     integrally_closed iff no F1/F2/F3 is found; normal iff nothing at all
     is found.  The primary certificate comes from the first configuration
     in priority order F1 > F2 > F3 > F4 > F5 (canonical order within a
-    kind) whose witness formula applies; the fallback to F1/F2/F3 when an
-    F4/F5 carries a nontrivial cycle edge is asserted to succeed.
-    config_cap, an exact int >= 0, caps the configurations kept per kind.
+    kind), before any cap.  Its witness formula always applies.  An F4
+    there has no heavy cycle edge: that edge and the pendant would form an
+    earlier F3.  Nor has an F5: the edge would give an F4, an F1 or an F2.
+    config_cap, an exact int >= 0, caps the configurations kept per kind;
+    notes holds one line per truncated kind.
     """
     if type(config_cap) is not int or config_cap < 0:
         raise GraphError(f"config_cap must be an integer >= 0, got {config_cap!r}")
@@ -332,24 +335,11 @@ def classify(G, config_cap=DEFAULT_CONFIG_CAP):
         if len(of_kind) > config_cap:
             notes.append(f"{kind} list truncated to {config_cap} of {len(of_kind)}")
         capped += of_kind[:config_cap]
-
-    primary = None
-    for config in found:  # already in priority order
-        try:
-            primary = build_certificate(G, config)
-            break
-        except CertificateError as exc:
-            notes.append(str(exc))
-    if found and primary is None:
-        raise RuntimeError(
-            "no certificate constructible from any found configuration; "
-            "the F1/F2/F3 fallback guarantee is violated"
-        )
     return ClassificationReport(
         integrally_closed=not f123,
         normal=not found,
         found=tuple(capped),
-        primary_certificate=primary,
+        primary_certificate=build_certificate(G, found[0]) if found else None,
         notes=tuple(notes),
     )
 
@@ -439,7 +429,9 @@ def cross_validate(
     check, so no power is scanned twice.  Every later graph of the class
     must get the representative's verdicts.  Any disagreement is reported
     with the graph serialized; oracle resource errors skip the class with
-    a logged reason, never a silent pass.
+    a logged reason, never a silent pass.  The three class counts tally
+    every representative by the classifier's verdicts, so they sum to
+    classes_checked, skipped or disagreeing classes included.
     """
     _check_positive(family_budget, "family_budget")
     total = 0
@@ -476,8 +468,10 @@ def cross_validate(
                         labeled=verdicts, canonical=canonical,
                     ))
                 continue
-            # the first graph of its class: the representative
+            # the first graph of its class: the representative, tallied by
+            # the classifier's verdicts whatever the oracle then reports
             classes_checked += 1
+            tally[verdicts] += 1
             for gather in gathers:
                 class_verdicts[tuple([tup[j] for j in gather])] = verdicts
             try:
@@ -513,7 +507,6 @@ def cross_validate(
                     G, "classifier says normal but oracle found a counterexample",
                     t=verdict.t, witness=list(verdict.witness),
                 ))
-            tally[verdicts] += 1
 
     return CrossValidationReport(
         family=family,

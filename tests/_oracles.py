@@ -628,6 +628,25 @@ def random_graph_with_edge(rng, **kwargs):
             return G
 
 
+def odd_cycle_rich_graph(rng, n_min=6, n_max=9, heavy=1 / 6):
+    """Disjoint odd cycles (triangles, and 5-cycles two times in five where
+    they fit) over a random order of n_min..n_max vertices, then 0 to 3
+    random extra edges; each edge has weight 2 with probability `heavy`,
+    else 1.  So F4s and F5s are common, some with heavy cycle edges."""
+    n = rng.randint(n_min, n_max)
+    order = rng.sample(range(1, n + 1), n)
+    pairs = set()
+    start = 0
+    while n - start >= 3:
+        m = 5 if n - start >= 5 and rng.random() < 0.4 else 3
+        cycle = order[start : start + m]
+        pairs.update(tuple(sorted((cycle[i - 1], x))) for i, x in enumerate(cycle))
+        start += m
+    for _ in range(rng.randint(0, 3)):
+        pairs.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+    return WeightedGraph(n, [(u, v, 2 if rng.random() < heavy else 1) for u, v in sorted(pairs)])
+
+
 def random_cactus(rng, n_min=8, n_max=30, max_chords=2):
     """A connected leafless graph on n_min..n_max vertices, randomly labelled.
 

@@ -23,6 +23,7 @@ from _oracles import (
     brute_forbidden,
     disjoint_union,
     finder_keys,
+    odd_cycle_rich_graph,
     random_graph,
     random_graph_with_edge,
     random_sparse_graph,
@@ -232,7 +233,7 @@ class TestClassify:
                     if len(of_kind) > cap:
                         notes.append(f"{kind} list truncated to {cap} of {len(of_kind)}")
                 assert report.found == tuple(expected)
-                assert [n for n in report.notes if "truncated" in n] == notes
+                assert report.notes == tuple(notes)
 
     def test_normal_implies_integrally_closed(self):
         rng = random.Random(103)
@@ -265,6 +266,52 @@ class TestClassify:
                 assert classify(G, config_cap=10**6).found == tuple(found)
                 graphs += 1
         assert graphs == 3**1 - 1 + 3**3 - 1 + 3**6 - 1
+
+    def test_certificate_comes_from_the_head_of_the_list(self):
+        # classify builds its certificate from found[0] of the uncapped
+        # F1..F5 list, with no fallback.  An F4 at the head has no heavy
+        # cycle edge, which would form an F3 with the pendant; nor has an
+        # F5, whose heavy cycle edge would give an F4, an F1 or an F2.
+        # Checked on every graph of GraphFamily(4, (1, 2, 3)) and on
+        # seeded odd-cycle-rich graphs, at a cap of 1 so that the notes
+        # hold truncation lines.
+        def check(G):
+            odd = odd_chordless_cycles(G)
+            found = find_f1_f2_f3(G) + find_f4(G, odd) + find_f5(G, odd)
+            report = classify(G, config_cap=1)
+            assert report.primary_certificate == (build_certificate(G, found[0]) if found else None)
+            kinds = Counter(c.kind for c in found)
+            assert report.notes == tuple(
+                f"{kind} list truncated to 1 of {count}"
+                for kind, count in sorted(kinds.items())
+                if count > 1
+            )
+            return found
+
+        graphs = 0
+        for n in range(2, 5):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for weights in product((0, 1, 2, 3), repeat=len(pairs)):
+                if any(weights):
+                    check(build_graph(n, [(u, v, w) for (u, v), w in zip(pairs, weights) if w]))
+                    graphs += 1
+        assert graphs == 4161
+
+        heads = Counter()
+        shadowed = 0  # graphs where a later F4 or F5 has a heavy cycle edge
+        rng = random.Random(211)
+        for _ in range(300):
+            G = odd_cycle_rich_graph(rng)
+            found = check(G)
+            if found:
+                heads[found[0].kind] += 1
+                shadowed += any(
+                    G.weight(c[i - 1], c[i]) > 1
+                    for config in found[1:]
+                    for c in config.cycles
+                    for i in range(len(c))
+                )
+        assert heads["F4"] >= 50 and heads["F5"] >= 25 and shadowed >= 50
 
     def test_priority_order(self):
         # heavy triangle plus heavy disjoint edge: F2, F3 and F4 all occur;
@@ -348,8 +395,10 @@ class TestCertificates:
         assert len(configs) == 1
         with pytest.raises(CertificateError, match="fall back"):
             build_certificate(G, configs[0])
-        # classify falls back to the guaranteed shorter configuration
+        # the heavy cycle edge and the pendant form an F3, which heads the
+        # list, so classify never reaches the F4
         report = classify(G)
+        assert [c.kind for c in report.found] == ["F3", "F4"]
         assert report.primary_certificate.config.kind == "F3"
         assert verify_certificate(G, report.primary_certificate).verified == "verified"
 
@@ -416,6 +465,14 @@ class TestCertificates:
         cert = classify(G).primary_certificate
         checked = verify_certificate(G, replace(cert, t=3))
         assert checked.verified == "failed"
+
+    def test_unknown_kind_rejected(self):
+        from dataclasses import replace
+
+        G = build_graph(3, [(1, 2, 2), (2, 3, 2)])
+        config = replace(find_f1_f2_f3(G)[0], kind="F6")
+        with pytest.raises(CertificateError, match="unknown configuration kind 'F6'"):
+            build_certificate(G, config)
 
     def test_wrong_length_witness_rejected(self):
         from dataclasses import replace
@@ -484,6 +541,15 @@ class TestMetamorphic:
 
 
 class TestCrossValidate:
+    @staticmethod
+    def counts(report):
+        return (
+            report.classes_checked,
+            report.normal_classes,
+            report.closed_not_normal_classes,
+            report.not_closed_classes,
+        )
+
     def test_tiny_family_agrees(self):
         report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
         assert report.agreed
@@ -509,13 +575,7 @@ class TestCrossValidate:
         report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
         assert scans and len(scans) == len(set(scans))
         assert report.agreed
-        counts = (
-            report.classes_checked,
-            report.normal_classes,
-            report.closed_not_normal_classes,
-            report.not_closed_classes,
-        )
-        assert counts == (11, 9, 0, 2)
+        assert self.counts(report) == (11, 9, 0, 2)
 
     def test_dual_cuts_save_lp_solves(self, monkeypatch):
         import nil.closure
@@ -549,6 +609,96 @@ class TestCrossValidate:
         # 2,321 solves when a not-closed scan walks its whole box; 1,559
         # when it stops at the degree of the best failure found.
         assert len(solves) <= 1600
+
+    def test_oracle_resource_error_skips_the_class(self):
+        # A box budget of 1 refuses every power-1 scan: all 11 classes are
+        # skipped, each with its reason, and still tallied by the
+        # classifier's verdicts.
+        report = cross_validate(GraphFamily(3, (1, 2)), t_max=2, box_budget=1)
+        assert report.disagreements == ()
+        assert len(report.skipped) == 11
+        assert all("budget 1" in entry["reason"] for entry in report.skipped)
+        assert self.counts(report) == (11, 9, 0, 2)
+
+    def test_unverified_certificate_skips_the_class(self, monkeypatch):
+        # With no power-membership budget, neither certificate of the two
+        # not-closed classes can be checked: both are skipped, not failed.
+        import nil.ideal
+
+        monkeypatch.setattr(nil.ideal, "POWER_SEARCH_BUDGET", 0)
+        report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
+        assert report.disagreements == ()
+        assert [entry["graph"] for entry in report.skipped] == [
+            {"vertices": 3, "edges": [[1, 3, 2], [2, 3, 2]]},
+            {"vertices": 3, "edges": [[1, 2, 2], [1, 3, 2], [2, 3, 2]]},
+        ]
+        assert all("budget 0" in entry["reason"] for entry in report.skipped)
+        assert self.counts(report) == (11, 9, 0, 2)
+
+    def test_reports_a_closedness_disagreement(self, monkeypatch):
+        # Negative control: an oracle that calls every ideal closed at
+        # power 1 contradicts the two not-closed classes.
+        import nil.classifier
+
+        monkeypatch.setattr(
+            nil.classifier, "is_power_integrally_closed", lambda I, k, **kw: (True, None)
+        )
+        report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
+        assert [(d["issue"], d["classifier"], d["oracle"]) for d in report.disagreements] == [
+            ("integral-closedness verdicts differ", False, True)
+        ] * 2
+        assert report.skipped == ()
+        assert self.counts(report) == (11, 9, 0, 2)
+
+    def test_reports_a_failed_certificate(self, monkeypatch):
+        # Negative control: certificates claimed at t = 3 rather than 1.
+        from dataclasses import replace
+
+        import nil.classifier
+
+        original = nil.classifier.classify
+
+        def inflated(G):
+            report = original(G)
+            if report.primary_certificate is None:
+                return report
+            return replace(report, primary_certificate=replace(report.primary_certificate, t=3))
+
+        monkeypatch.setattr(nil.classifier, "classify", inflated)
+        report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
+        assert [d["issue"] for d in report.disagreements] == ["certificate failed verification"] * 2
+        assert {d["certificate"]["kind"] for d in report.disagreements} == {"F1", "F2"}
+        assert all(d["certificate"]["t"] == 3 for d in report.disagreements)
+        assert all("in_closure_power=False" in d["detail"] for d in report.disagreements)
+        assert report.skipped == ()
+        assert self.counts(report) == (11, 9, 0, 2)
+
+    def test_reports_a_counterexample_to_a_normal_verdict(self, monkeypatch):
+        # Negative control: an oracle that claims x1 x2 x3 refutes the
+        # normality of the unit triangle at t = 2.
+        import nil.classifier
+        from nil.closure import NormalityVerdict
+
+        original = nil.classifier.normality_scan
+        triangle_ideal = edge_ideal(triangle())
+
+        def scan(I, **kwargs):
+            if I == triangle_ideal:
+                return NormalityVerdict("counterexample", 2, (1, 1, 1))
+            return original(I, **kwargs)
+
+        monkeypatch.setattr(nil.classifier, "normality_scan", scan)
+        report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
+        assert report.disagreements == (
+            {
+                "graph": {"vertices": 3, "edges": [[1, 2, 1], [1, 3, 1], [2, 3, 1]]},
+                "issue": "classifier says normal but oracle found a counterexample",
+                "t": 2,
+                "witness": [1, 1, 1],
+            },
+        )
+        assert report.skipped == ()
+        assert self.counts(report) == (11, 9, 0, 2)
 
     def test_single_edge_family(self):
         report = cross_validate(GraphFamily(2, (1,)), t_max=1)

@@ -140,6 +140,19 @@ class TestExitCodes:
         assert payload["certificate"]["t"] == 1
         assert payload["certificate"]["verified"] == "verified"
 
+    def test_unverified_certificate_carries_its_note(self, f1_file, capsys, monkeypatch):
+        import nil.ideal
+
+        monkeypatch.setattr(nil.ideal, "POWER_SEARCH_BUDGET", 0)
+        assert main(["classify", f1_file, "--verify"]) == 10
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["verified"] == "unverified"
+        assert cert["note"].startswith("power membership search exceeds budget 0")
+        # a verified certificate has no note
+        monkeypatch.undo()
+        assert main(["classify", f1_file, "--verify"]) == 10
+        assert "note" not in json.loads(capsys.readouterr().out)["certificate"]
+
     def test_closed_not_normal_exits_eleven(self, f4_file, capsys):
         assert main(["classify", f4_file, "--verify"]) == 11
         payload = json.loads(capsys.readouterr().out)
@@ -161,6 +174,27 @@ class TestExitCodes:
             assert main(["classify", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_wrong_arity_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        for text, lineno, message in (
+            ("vertices 3 4\nedge 1 2\n", 1, "expected: vertices <n>"),
+            ("vertices\nedge 1 2\n", 1, "expected: vertices <n>"),
+            ("vertices 3\nedge 1\n", 2, "expected: edge <u> <v> [<w>]"),
+            ("vertices 3\nedge 1 2 2 5\n", 2, "expected: edge <u> <v> [<w>]"),
+        ):
+            path.write_text(text)
+            assert main(["classify", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: line {lineno}: {message}\n"
+
+    def test_non_positive_arguments_exit_two(self, f4_file, capsys):
+        for argv, message in (
+            (["normality", f4_file, "--box-budget", "0"], "--box-budget must be a positive integer"),
+            (["closure", f4_file, "0"], "k must be a positive integer"),
+            (["normality", f4_file, "--tmax", "0"], "--tmax must be a positive integer"),
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_undecodable_input_exits_two(self, tmp_path, capsys):
         for name, data in (
@@ -429,6 +463,11 @@ class TestCommands:
     def test_weights_argument_validation(self, capsys):
         with pytest.raises(SystemExit):
             main(["enumerate", "--weights", "1,x"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--weights", "0,1"])
+        assert exc.value.code == 2
+        assert "weights must be positive integers" in capsys.readouterr().err
 
     def test_enumerate_reports_the_family_it_checked(self, capsys):
         # GraphFamily sorts the weights and drops repeats; the report names

@@ -64,6 +64,14 @@ class TestMonomialIdeal:
     def test_zero_ideal_sentinel(self):
         assert MonomialIdeal(3, []).is_zero
 
+    def test_zero_ideal_has_no_power(self):
+        zero = MonomialIdeal(3, [])
+        with pytest.raises(IdealError, match="power of the zero ideal"):
+            power(zero, 2)
+        # nothing, not even 1 = x^0, lies in a power of the zero ideal
+        for a in ((0, 0, 0), (5, 5, 5)):
+            assert not contains_power(zero, a, 1)
+
     def test_antichain_check_matches_all_pairs(self):
         # Mixed degrees, so the degree-ordered check meets every case: a
         # divisor of lower degree, equal-degree incomparable pairs, repeats.

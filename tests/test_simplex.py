@@ -93,6 +93,17 @@ def test_zero_rows_leave_the_solution_unchanged():
         check_dual(padded_cols, padded_rhs, p_opt, p_dual)
 
 
+def test_no_column_rejected():
+    with pytest.raises(ValueError, match="at least one column"):
+        maximize_total([], (1, 1))
+
+
+def test_column_length_must_match_rhs():
+    for columns in ([(1, 2, 3)], [(1, 2), (1,)]):
+        with pytest.raises(ValueError, match="column length"):
+            maximize_total(columns, (4, 4))
+
+
 def test_zero_column_rejected():
     with pytest.raises(ValueError, match="unbounded"):
         maximize_total([(0, 0)], (1, 1))

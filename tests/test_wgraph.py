@@ -95,6 +95,17 @@ class TestConstruction:
         with pytest.raises(GraphError, match="weight"):
             build_graph(2, [(1, 2, IntEnum("W", "TWO THREE").TWO)])
 
+    def test_bad_vertex_count_rejected(self):
+        for n in (-1, True, 2.0, "3"):
+            with pytest.raises(GraphError, match="vertex count must be a nonnegative integer"):
+                WeightedGraph(n)
+
+    def test_weight_of_a_missing_edge_rejected(self):
+        G = build_graph(3, [(1, 2, 2), (2, 3, 2)])
+        for u, v in ((1, 3), (3, 1)):
+            with pytest.raises(GraphError, match=r"no edge \(%d, %d\)" % (u, v)):
+                G.weight(u, v)
+
     def test_pair_defaults_to_weight_one(self):
         assert build_graph(2, [(1, 2)]).weight(1, 2) == 1
 
