@@ -344,6 +344,37 @@ def classify(G, config_cap=DEFAULT_CONFIG_CAP):
     )
 
 
+def _verdicts(G):
+    """(integrally_closed, normal) as classify reports them, with no
+    certificate.  F1-F3 are decided by existence tests that stop at the
+    first hit, written apart from find_f1_f2_f3 so that cross_validate
+    holds the two against each other; F4 and F5 are listed only when no
+    F1-F3 occurs, and only on 5 vertices or more."""
+    nbr = G.nbr
+    heavy_edges = G.nontrivial_edges()
+    heavy = [0] * (G.n + 1)  # heavy[v]: v's heavy neighbours, as a bitmask
+    for u, w, _ in heavy_edges:
+        heavy[u] |= 1 << w
+        heavy[w] |= 1 << u
+    ends = [(1 << u) | (1 << w) for u, w, _ in heavy_edges]
+    for i, (u, w, _) in enumerate(heavy_edges):
+        # an F1 or F2 through the heavy edge u-w: a third vertex x, heavy to
+        # one end and, to the other end, either not adjacent (F1) or heavy
+        # (F2); that is, not a light neighbour of the other end
+        light_u, light_w = nbr[u] & ~heavy[u], nbr[w] & ~heavy[w]
+        if (heavy[u] & ~light_w | heavy[w] & ~light_u) & ~ends[i]:
+            return False, False
+        # an F3 partner has neither end in the edge's closed neighbourhood
+        near = nbr[u] | nbr[w] | ends[i]
+        for bits in ends[i + 1 :]:
+            if not near & bits:
+                return False, False
+    if G.n < 5:  # no F4 or F5 fits
+        return True, True
+    odd = odd_chordless_cycles(G)
+    return True, not (find_f4(G, odd) or find_f5(G, odd))
+
+
 # ---------------------------------------------------------------------------
 # Cross-validation harness: classifier vs oracle over a bounded graph family.
 # ---------------------------------------------------------------------------
@@ -420,18 +451,19 @@ def cross_validate(
     """Check the classifier against the LP oracle over a whole family.
 
     One pass over the labelled graphs, in product order of their edge
-    weights, classifies each graph once.  The first graph of an
-    isomorphism class in that order is the class's representative, and
-    only it meets the oracle: its integral-closedness verdict must equal
-    the oracle's answer at power 1; a "not normal" verdict must come with
-    a certificate the oracle verifies; a "normal" verdict must survive
-    normality_scan up to t_max, whose t = 1 step is also the power-1
-    check, so no power is scanned twice.  Every later graph of the class
-    must get the representative's verdicts.  Any disagreement is reported
-    with the graph serialized; oracle resource errors skip the class with
-    a logged reason, never a silent pass.  The three class counts tally
-    every representative by the classifier's verdicts, so they sum to
-    classes_checked, skipped or disagreeing classes included.
+    weights, decides each graph once.  The first graph of an isomorphism
+    class in that order is the class's representative, and only it gets
+    the full classify and meets the oracle: its integral-closedness
+    verdict must equal the oracle's answer at power 1; a "not normal"
+    verdict must come with a certificate the oracle verifies; a "normal"
+    verdict must survive normality_scan up to t_max, whose t = 1 step is
+    also the power-1 check, so no power is scanned twice.  Every later
+    graph of the class is decided by _verdicts alone, and must get the
+    verdicts classify gave the representative.  Any disagreement is
+    reported with the graph serialized; oracle resource errors skip the
+    class with a logged reason, never a silent pass.  The three class
+    counts tally every representative by the classifier's verdicts, so
+    they sum to classes_checked, skipped or disagreeing classes included.
     """
     _check_positive(family_budget, "family_budget")
     total = 0
@@ -457,11 +489,10 @@ def cross_validate(
             if not any(tup):
                 continue
             G = WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, tup) if w])
-            report = classify(G)
             graphs_checked += 1
-            verdicts = (report.integrally_closed, report.normal)
             canonical = class_verdicts.get(tup)
             if canonical is not None:
+                verdicts = _verdicts(G)
                 if verdicts != canonical:
                     disagreements.append(_record(
                         G, "verdicts differ from canonical relabeling",
@@ -470,6 +501,8 @@ def cross_validate(
                 continue
             # the first graph of its class: the representative, tallied by
             # the classifier's verdicts whatever the oracle then reports
+            report = classify(G)
+            verdicts = (report.integrally_closed, report.normal)
             classes_checked += 1
             tally[verdicts] += 1
             for gather in gathers:

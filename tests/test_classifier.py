@@ -7,6 +7,7 @@ import pytest
 from nil.classifier import (
     CertificateError,
     GraphFamily,
+    _verdicts,
     build_certificate,
     classify,
     cross_validate,
@@ -312,6 +313,38 @@ class TestClassify:
                     for i in range(len(c))
                 )
         assert heads["F4"] >= 50 and heads["F5"] >= 25 and shadowed >= 50
+
+    def test_verdicts_match_classify(self):
+        # _verdicts decides by existence tests of its own; its answer must
+        # be classify's on every graph of GraphFamily(4, (1, 2, 3)), on
+        # seeded random and odd-cycle-rich graphs, and on each 5-vertex
+        # triangle beside a disjoint edge: random graphs almost never hold
+        # that shape, the only F4 that fits on 5 vertices.
+        def graphs():
+            for n in range(2, 5):
+                pairs = list(combinations(range(1, n + 1), 2))
+                for weights in product((0, 1, 2, 3), repeat=len(pairs)):
+                    if any(weights):
+                        yield build_graph(n, [(u, v, w) for (u, v), w in zip(pairs, weights) if w])
+            rng = random.Random(307)
+            for _ in range(1000):
+                yield random_graph_with_edge(rng, n_min=5, n_max=9, weights=(1, 2, 3))
+            for _ in range(300):
+                yield odd_cycle_rich_graph(rng)
+            for a, b, c in combinations(range(1, 6), 3):
+                d, e = sorted(set(range(1, 6)) - {a, b, c})
+                for w in product((1, 2), (1, 2), (1, 2), (1, 2, 3)):
+                    edges = zip(((a, b), (b, c), (a, c), (d, e)), w)
+                    yield build_graph(5, [(u, v, x) for (u, v), x in edges])
+
+        kinds = Counter()
+        for G in graphs():
+            report = classify(G)
+            verdicts = (report.integrally_closed, report.normal)
+            assert _verdicts(G) == verdicts, G.edge_list()
+            kinds[G.n == 5, verdicts] += 1
+        assert kinds[True, (True, False)] == 20
+        assert sum(kinds.values()) == 4161 + 1000 + 300 + 240
 
     def test_priority_order(self):
         # heavy triangle plus heavy disjoint edge: F2, F3 and F4 all occur;
@@ -707,20 +740,59 @@ class TestCrossValidate:
         assert report.classes_checked == 1
         assert report.normal_classes == 1
 
-    def test_classify_runs_once_per_labelled_graph(self, monkeypatch):
+    def test_each_labelled_graph_is_decided_once(self, monkeypatch):
+        # classify on each class representative, _verdicts on every other
+        # labelled graph, and no graph twice
+        import nil.classifier
+
+        seen = {"classify": [], "_verdicts": []}
+
+        def spy(name):
+            original = getattr(nil.classifier, name)
+
+            def call(G):
+                seen[name].append((G.n, frozenset(G.edges.items())))
+                return original(G)
+
+            monkeypatch.setattr(nil.classifier, name, call)
+
+        spy("classify")
+        spy("_verdicts")
+        report = cross_validate(GraphFamily(4, (1, 2)), t_max=1)
+        assert report.agreed
+        assert len(seen["classify"]) == report.classes_checked == 76
+        assert len(seen["_verdicts"]) == 2 + 26 + 728 - 76
+        every = seen["classify"] + seen["_verdicts"]
+        assert len(every) == len(set(every)) == report.graphs_checked == 2 + 26 + 728
+
+    def test_relabelling_check_still_tests_classify(self, monkeypatch):
+        # Negative control: a classify wrong on one representative only
+        # (the edge 2-3 on three vertices, called not closed) is refuted
+        # by the oracle there, and by _verdicts on the two other labellings
+        # of its class.
+        from dataclasses import replace
+
         import nil.classifier
 
         original = nil.classifier.classify
-        seen = []
 
-        def spy(G):
-            seen.append((G.n, frozenset(G.edges.items())))
-            return original(G)
+        def wrong(G):
+            report = original(G)
+            if G.n == 3 and G.edges == {(2, 3): 1}:
+                return replace(report, integrally_closed=False, normal=False)
+            return report
 
-        monkeypatch.setattr(nil.classifier, "classify", spy)
-        report = cross_validate(GraphFamily(4, (1, 2)), t_max=1)
-        assert report.agreed
-        assert len(seen) == len(set(seen)) == report.graphs_checked == 2 + 26 + 728
+        monkeypatch.setattr(nil.classifier, "classify", wrong)
+        report = cross_validate(GraphFamily(3, (1,)), t_max=1)
+        assert [
+            (d["issue"], d["graph"]["edges"], d.get("labeled"), d.get("canonical"))
+            for d in report.disagreements
+        ] == [
+            ("integral-closedness verdicts differ", [[2, 3, 1]], None, None),
+            ("verdicts differ from canonical relabeling", [[1, 3, 1]], (True, True), (False, False)),
+            ("verdicts differ from canonical relabeling", [[1, 2, 1]], (True, True), (False, False)),
+        ]
+        assert report.skipped == ()
 
     @pytest.mark.parametrize("weights, classes", [((1, 2), 76), ((1, 2, 3), 297)])
     def test_classes_match_burnside(self, weights, classes):
