@@ -178,9 +178,6 @@ def find_f5(G, odd=None):
     `odd`, when given, is odd_chordless_cycles(G)."""
     if odd is None:
         odd = odd_chordless_cycles(G)
-    if len(odd) < 2 or G.n < 6:
-        # no two disjoint odd cycles fit: skip building the barred edges
-        return []
     light = (e for e, w in G.edges.items() if w == 1)
     cycle_edges = {}
     configs = []
@@ -349,7 +346,9 @@ def _verdicts(G):
     certificate.  F1-F3 are decided by existence tests that stop at the
     first hit, written apart from find_f1_f2_f3 so that cross_validate
     holds the two against each other; F4 and F5 are listed only when no
-    F1-F3 occurs, and only on 5 vertices or more."""
+    F1-F3 occurs, and only on 5 vertices or more.  Those lists come from
+    find_f4 and find_f5, as classify's do, so the two are independent for
+    F1-F3 alone."""
     nbr = G.nbr
     heavy_edges = G.nontrivial_edges()
     heavy = [0] * (G.n + 1)  # heavy[v]: v's heavy neighbours, as a bitmask
@@ -459,11 +458,15 @@ def cross_validate(
     verdict must survive normality_scan up to t_max, whose t = 1 step is
     also the power-1 check, so no power is scanned twice.  Every later
     graph of the class is decided by _verdicts alone, and must get the
-    verdicts classify gave the representative.  Any disagreement is
-    reported with the graph serialized; oracle resource errors skip the
-    class with a logged reason, never a silent pass.  The three class
-    counts tally every representative by the classifier's verdicts, so
-    they sum to classes_checked, skipped or disagreeing classes included.
+    verdicts classify gave the representative.  That relabelling check
+    holds two independent implementations against each other for F1-F3
+    only: both sides take their F4 and F5 verdicts from find_f4 and
+    find_f5, which the oracle checks on the representatives alone.  Any
+    disagreement is reported with the graph serialized; oracle resource
+    errors skip the class with a logged reason, never a silent pass.  The
+    three class counts tally every representative by the classifier's
+    verdicts, so they sum to classes_checked, skipped or disagreeing
+    classes included.
     """
     _check_positive(family_budget, "family_budget")
     total = 0

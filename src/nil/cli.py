@@ -14,6 +14,7 @@ exceeded, 1 enumeration found disagreements.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -338,21 +339,7 @@ def cmd_enumerate(args):
         t_max=args.tmax,
         box_budget=args.box_budget,
     )
-    _emit(
-        {
-            # the family checked: its weights sorted, without repeats
-            "family": {"max_vertices": args.max_vertices, "weights": list(report.family.weights)},
-            "t_max": args.tmax,
-            "graphs_checked": report.graphs_checked,
-            "classes_checked": report.classes_checked,
-            "disagreements": list(report.disagreements),
-            "skipped": list(report.skipped),
-            "normal_classes": report.normal_classes,
-            "closed_not_normal_classes": report.closed_not_normal_classes,
-            "not_closed_classes": report.not_closed_classes,
-            "note": report.note,
-        }
-    )
+    _emit(dataclasses.asdict(report))
     return 0 if report.agreed else 1
 
 

@@ -5,13 +5,19 @@ Solves   maximize  sum(c)   subject to   sum_j c_j * col_j <= rhs,  c >= 0
 in exact arithmetic without floats or Fractions in the pivot loop: each
 tableau row, the objective row included, is a list of ints over its own
 positive denominator (integer-preserving pivoting, as in Edmonds 1967 and
-Bareiss 1968), reduced by the gcd of its entries after every update, so it
-holds the same rationals a Fraction tableau would.  The results are
-returned in that integer form too, and no Fraction is built.  The data is
-integral and nonnegative with every column nonzero, so the origin is
-feasible and the optimum is finite; no phase-1 is needed.  Bland's
-smallest-index rule on both the entering and leaving choices prevents
-cycling, and a pivot cap fails loudly rather than looping.
+Bareiss 1968), reduced by the gcd of its denominator and entries after
+every update, so it holds the same rationals a Fraction tableau would.  A
+constraint row in lowest terms has coprime numerators (its slack block is
+its denominator times a row of the basis inverse), so the pivot row needs
+no reduction.  Every other row with an entry f in the entering column
+takes one update rule: it is scaled by the pivot p when p != 1, and f
+times the pivot row is subtracted on the pivot row's nonzero entries
+alone.  The results are returned in that integer form too, and no
+Fraction is built.  The data is integral and nonnegative with every
+column nonzero, so the origin is feasible and the optimum is finite; no
+phase-1 is needed.  Bland's smallest-index rule on both the entering and
+leaving choices prevents cycling, and a pivot cap fails loudly rather
+than looping.
 
 At optimality the objective row holds, under the slack columns, an
 optimal solution y of the dual LP
@@ -105,26 +111,22 @@ def maximize_total(columns, rhs, pivot_cap=DEFAULT_PIVOT_CAP):
             raise ResourceLimitError(f"simplex pivot count exceeds cap {pivot_cap}")
 
         # Dividing the pivot row by its entry p / den keeps its numerators
-        # over the new denominator p.
+        # over the new denominator p, already in lowest terms: the row's
+        # slack block a is den times a row of the inverse of the integral
+        # basis B, so sum_i a_i * B_ic == den for its basic column c, and
+        # gcd(a) divides gcd(den, *a) == 1.
         prow = rows[leaving]
-        p = prow[entering]
-        g = gcd(p, *prow)
-        if g != 1:
-            prow = rows[leaving] = [x // g for x in prow]
-            p //= g
-        dens[leaving] = p
-        if p == 1:
-            support = [(j, x) for j, x in enumerate(prow) if x]
+        p = dens[leaving] = prow[entering]
+        support = [(j, x) for j, x in enumerate(prow) if x]
         for r, row in enumerate(rows):
             f = row[entering]
             if not f or r == leaving:
                 continue
             # row / d - (f / d) * prow / p == (p * row - f * prow) / (d * p)
-            if p == 1:
-                for j, x in support:
-                    row[j] -= f * x
-            else:
-                row = rows[r] = [p * x - f * y for x, y in zip(row, prow)]
+            if p != 1:
+                row = rows[r] = [p * x for x in row]
+            for j, x in support:
+                row[j] -= f * x
             d = dens[r] * p
             if d != 1:
                 g = gcd(d, *row)

@@ -446,32 +446,20 @@ def classify_compact(G):
     ):
         return CompactClass("not_compact")
 
+    # A compact graph has at most three stems, and every two are adjacent.
     stems = tuple(v for v in G.vertices() if nbr[v].bit_count() >= 3)
-    if len(stems) == 0:
-        return CompactClass("bouquet", (min(G.vertices()),))
-    if len(stems) == 1:
-        return CompactClass("bouquet", stems)
+    if len(stems) > 3 or any(not G.has_edge(u, v) for u, v in combinations(stems, 2)):
+        raise RuntimeError(
+            f"compact graph with stems {list(stems)}: more than three, or two "
+            "not adjacent; classification invariant violated"
+        )
+    if len(stems) == 3:
+        return CompactClass("three_bouquets", stems)
     if len(stems) == 2:
-        s1, s2 = stems
-        if not G.has_edge(s1, s2):
-            raise RuntimeError(
-                "compact graph with two stems lacks the stem edge; "
-                "classification invariant violated"
-            )
         # An extra path between the stems closes a cycle through both, and
         # that cycle is a block.
-        ends = (1 << s1) | (1 << s2)
+        ends = (1 << stems[0]) | (1 << stems[1])
         even_path = any(b & ends == ends for b in blocks)
         return CompactClass("two_bouquets", stems, has_even_path=even_path)
-    if len(stems) == 3:
-        s1, s2, s3 = stems
-        if not (G.has_edge(s1, s2) and G.has_edge(s1, s3) and G.has_edge(s2, s3)):
-            raise RuntimeError(
-                "compact graph with three stems lacks the stem triangle; "
-                "classification invariant violated"
-            )
-        return CompactClass("three_bouquets", stems)
-    raise RuntimeError(
-        f"compact graph with {len(stems)} stem candidates; "
-        "classification invariant violated"
-    )
+    # With no stem the graph is one odd cycle, and it runs through vertex 1.
+    return CompactClass("bouquet", stems or (1,))

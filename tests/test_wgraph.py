@@ -573,6 +573,29 @@ class TestClassifyCompact:
             seen[key] = seen.get(key, 0) + 1
         assert len(seen) == 5 and min(seen.values()) >= 5, seen
 
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            # two triangles whose stems 1 and 4 are joined by the path 1-7-4
+            # alone: two stems, not adjacent
+            (7, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 7), (4, 7)]),
+            # three triangles with the stem edges 1-4 and 4-7 alone: three
+            # stems that are not a triangle
+            (9, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (7, 8), (8, 9),
+                 (7, 9), (1, 4), (4, 7)]),
+            # K4: four stems
+            (4, list(combinations(range(1, 5), 2))),
+        ],
+        ids=["two_stems_not_adjacent", "three_stems_no_triangle", "four_stems"],
+    )
+    def test_stem_invariant_is_checked(self, monkeypatch, n, edges):
+        # Negative control: with the cycle blocks hidden, these graphs pass
+        # the compactness test, and the stem check must catch them.
+        monkeypatch.setattr(nil.wgraph, "_cycle_blocks", lambda G: [])
+        G = build_graph(n, [(u, v, 1) for u, v in edges])
+        with pytest.raises(RuntimeError, match="classification invariant violated"):
+            classify_compact(G)
+
     def test_one_block_pass_and_no_cycle_enumeration(self, monkeypatch):
         search = nil.wgraph._fundamental_cycles
         calls = []
