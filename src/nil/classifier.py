@@ -32,7 +32,10 @@ from .errors import GraphError, IdealError, ResourceLimitError
 from .ideal import _check_positive, contains_power, edge_ideal
 from .wgraph import (
     WeightedGraph,
+    _bits,
     disjoint_odd_pairs,
+    induced_subgraph,
+    is_bipartite,
     odd_chordless_cycles,
 )
 
@@ -239,43 +242,26 @@ def build_certificate(G, config):
     kind = config.kind
     if kind in ("F1", "F2"):
         x1, x2, x3, a, b = _f1_f2_roles(G, config)
-        return Certificate(
-            config=config,
-            t=1,
-            witness=_embed(G, {x1: a - 1, x2: b, x3: b - 1}),
-        )
-    if kind == "F3":
+        values, t = {x1: a - 1, x2: b, x3: b - 1}, 1
+    elif kind == "F3":
         (u1, v1, a), (u2, v2, b) = config.edges
-        return Certificate(
-            config=config,
-            t=1,
-            witness=_embed(G, {u1: a - 1, v1: a - 1, u2: b - 1, v2: b - 1}),
-        )
-    if kind in ("F4", "F5"):
+        values, t = {u1: a - 1, v1: a - 1, u2: b - 1, v2: b - 1}, 1
+    elif kind in ("F4", "F5"):
         for cycle in config.cycles:
-            m = len(cycle)
-            for i in range(m):
-                if G.weight(cycle[i], cycle[(i + 1) % m]) != 1:
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                if G.weight(x, y) != 1:
                     raise CertificateError(
-                        f"{kind} cycle edge ({cycle[i]}, {cycle[(i + 1) % m]}) is "
+                        f"{kind} cycle edge ({x}, {y}) is "
                         "nontrivial; fall back to an F1/F2/F3 configuration"
                     )
-        if kind == "F4":
-            (cycle,) = config.cycles
+        values = {c: 1 for cycle in config.cycles for c in cycle}
+        if config.pendant:
             u, v, a = config.pendant
-            t = (len(cycle) + 1) // 2
-            values = {c: 1 for c in cycle}
-            values[u] = a - 1
-            values[v] = a - 1
-            return Certificate(config=config, t=t, witness=_embed(G, values))
-        c1, c2 = config.cycles
-        t = (len(c1) + len(c2)) // 2
-        return Certificate(
-            config=config,
-            t=t,
-            witness=_embed(G, {c: 1 for c in c1 + c2}),
-        )
-    raise CertificateError(f"unknown configuration kind {kind!r}")
+            values[u] = values[v] = a - 1
+        t = (sum(map(len, config.cycles)) + 1) // 2
+    else:
+        raise CertificateError(f"unknown configuration kind {kind!r}")
+    return Certificate(config=config, t=t, witness=_embed(G, values))
 
 
 def verify_certificate(G, cert):
@@ -343,12 +329,16 @@ def classify(G, config_cap=DEFAULT_CONFIG_CAP):
 
 def _verdicts(G):
     """(integrally_closed, normal) as classify reports them, with no
-    certificate.  F1-F3 are decided by existence tests that stop at the
-    first hit, written apart from find_f1_f2_f3 so that cross_validate
-    holds the two against each other; F4 and F5 are listed only when no
-    F1-F3 occurs, and only on 5 vertices or more.  Those lists come from
-    find_f4 and find_f5, as classify's do, so the two are independent for
-    F1-F3 alone."""
+    certificate and no configuration list.  Each kind is decided by an
+    existence test that stops at the first hit, written apart from the
+    finders so that cross_validate holds the two against each other.
+    F4 and F5 are tested only when no F1-F3 occurs.  An F4 on the heavy
+    edge e exists iff the graph induced off e's closed neighbourhood is
+    not bipartite: an odd cycle there holds a chordless one on a subset
+    of its vertices.  An F5 is the first pair disjoint_odd_pairs yields
+    with the light edges barred.  The F1-F4 tests are independent of the
+    finders; the F5 test shares chordless_cycles and disjoint_odd_pairs
+    with find_f5."""
     nbr = G.nbr
     heavy_edges = G.nontrivial_edges()
     heavy = [0] * (G.n + 1)  # heavy[v]: v's heavy neighbours, as a bitmask
@@ -370,8 +360,18 @@ def _verdicts(G):
                 return False, False
     if G.n < 5:  # no F4 or F5 fits
         return True, True
-    odd = odd_chordless_cycles(G)
-    return True, not (find_f4(G, odd) or find_f5(G, odd))
+    everything = (1 << (G.n + 1)) - 2
+    for u, w, _ in heavy_edges:
+        # off the edge's closed neighbourhood, which holds u and w, as
+        # each is the other's neighbour
+        far = _bits(everything & ~(nbr[u] | nbr[w]))
+        if len(far) >= 3 and not is_bipartite(induced_subgraph(G, far)[0])[0]:
+            return True, False
+    if G.n < 6:  # two disjoint odd cycles need six vertices
+        return True, True
+    light = (e for e, w in G.edges.items() if w == 1)
+    pairs = disjoint_odd_pairs(G, odd_chordless_cycles(G), barred=light)
+    return True, next(pairs, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +459,9 @@ def cross_validate(
     also the power-1 check, so no power is scanned twice.  Every later
     graph of the class is decided by _verdicts alone, and must get the
     verdicts classify gave the representative.  That relabelling check
-    holds two independent implementations against each other for F1-F3
-    only: both sides take their F4 and F5 verdicts from find_f4 and
-    find_f5, which the oracle checks on the representatives alone.  Any
+    holds two independent implementations against each other for F1-F4;
+    for F5 both sides share chordless_cycles and disjoint_odd_pairs,
+    which the oracle checks on the representatives alone.  Any
     disagreement is reported with the graph serialized; oracle resource
     errors skip the class with a logged reason, never a silent pass.  The
     three class counts tally every representative by the classifier's

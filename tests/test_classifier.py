@@ -336,7 +336,13 @@ class TestClassify:
                 for w in product((1, 2), (1, 2), (1, 2), (1, 2, 3)):
                     edges = zip(((a, b), (b, c), (a, c), (d, e)), w)
                     yield build_graph(5, [(u, v, x) for (u, v), x in edges])
+            yield from f5_inputs
 
+        # two disjoint triangles joined by no edge, a weight-2 edge, a
+        # weight-1 edge, and both: F5 in the first two only
+        f5_inputs = [
+            two_triangles(extra) for extra in ((), [(1, 4, 2)], [(1, 4, 1)], [(1, 4, 2), (2, 5, 1)])
+        ]
         kinds = Counter()
         for G in graphs():
             report = classify(G)
@@ -344,7 +350,42 @@ class TestClassify:
             assert _verdicts(G) == verdicts, G.edge_list()
             kinds[G.n == 5, verdicts] += 1
         assert kinds[True, (True, False)] == 20
-        assert sum(kinds.values()) == 4161 + 1000 + 300 + 240
+        assert sum(kinds.values()) == 4161 + 1000 + 300 + 240 + 4
+        assert [_verdicts(G) for G in f5_inputs] == [(True, False)] * 2 + [(True, True)] * 2
+
+    @staticmethod
+    def labellings(G):
+        """Every distinct relabelling of G."""
+        return {
+            build_graph(G.n, [(perm[u - 1], perm[v - 1], w) for u, v, w in G.edge_list()])
+            for perm in permutations(range(1, G.n + 1))
+        }
+
+    def test_verdicts_find_f4_without_find_f4(self, monkeypatch):
+        # Negative control: with find_f4 blind, classify misses the F4 of a
+        # triangle beside a disjoint weight-2 edge, and _verdicts, which
+        # decides F4 by a test of its own, must still see it.
+        import nil.classifier
+
+        monkeypatch.setattr(nil.classifier, "find_f4", lambda G, odd=None: [])
+        graphs = self.labellings(F4_GRAPH)
+        assert len(graphs) == 10
+        assert classify(F4_GRAPH).normal
+        for G in graphs:
+            assert _verdicts(G) == (True, False), G.edge_list()
+
+    def test_verdicts_find_f5_without_find_f5(self, monkeypatch):
+        # Negative control: the same with find_f5 blind, on two disjoint
+        # triangles (2K3) and on two triangles joined by a weight-2 edge.
+        import nil.classifier
+
+        monkeypatch.setattr(nil.classifier, "find_f5", lambda G, odd=None: [])
+        for G, count in ((two_triangles(), 10), (two_triangles([(1, 4, 2)]), 90)):
+            graphs = self.labellings(G)
+            assert len(graphs) == count
+            assert classify(G).normal
+            for H in graphs:
+                assert _verdicts(H) == (True, False), H.edge_list()
 
     def test_priority_order(self):
         # heavy triangle plus heavy disjoint edge: F2, F3 and F4 all occur;
@@ -818,6 +859,18 @@ class TestCrossValidate:
         report = cross_validate(GraphFamily(4, weights), t_max=1)
         assert report.agreed
         assert report.classes_checked == classes
+
+    def test_weight_one_six_vertex_family_holds_an_f5(self):
+        # The first exhaustive family with an F5: on six vertices two
+        # disjoint odd cycles fit.  Its one closed but not normal class is
+        # 2K3, whose F5 certificate is verified at t = 3.
+        report = cross_validate(GraphFamily(6, (1,)), t_max=3)
+        assert report.agreed and report.skipped == ()
+        assert report.graphs_checked == 33861
+        assert self.counts(report) == (202, 201, 1, 0)
+        cert = classify(two_triangles()).primary_certificate
+        assert (cert.config.kind, cert.t) == ("F5", 3)
+        assert verify_certificate(two_triangles(), cert).verified == "verified"
 
     def test_rejects_a_bad_family_budget(self):
         for budget in (None, "9", 0, -1, True, 1e7):
