@@ -120,8 +120,9 @@ def find_f1_f2_f3(G):
                 configs.append(ForbiddenConfig("F2", vertices=(v, u, w), edges=edges))
     ends = [(1 << u) | (1 << w) for u, w, _ in heavy_edges]
     for i, e in enumerate(heavy_edges):
-        # an F3 partner has neither end in e's closed neighbourhood
-        near = nbr[e[0]] | nbr[e[1]] | ends[i]
+        # an F3 partner has neither end in e's closed neighbourhood, which
+        # holds e's ends, as each is the other's neighbour
+        near = nbr[e[0]] | nbr[e[1]]
         for f, bits in zip(heavy_edges[i + 1 :], ends[i + 1 :]):
             if not near & bits:
                 configs.append(
@@ -353,8 +354,9 @@ def _verdicts(G):
         light_u, light_w = nbr[u] & ~heavy[u], nbr[w] & ~heavy[w]
         if (heavy[u] & ~light_w | heavy[w] & ~light_u) & ~ends[i]:
             return False, False
-        # an F3 partner has neither end in the edge's closed neighbourhood
-        near = nbr[u] | nbr[w] | ends[i]
+        # an F3 partner has neither end in the edge's closed neighbourhood,
+        # nbr[u] | nbr[w], which holds u and w
+        near = nbr[u] | nbr[w]
         for bits in ends[i + 1 :]:
             if not near & bits:
                 return False, False
@@ -465,8 +467,9 @@ def cross_validate(
     disagreement is reported with the graph serialized; oracle resource
     errors skip the class with a logged reason, never a silent pass.  The
     three class counts tally every representative by the classifier's
-    verdicts, so they sum to classes_checked, skipped or disagreeing
-    classes included.
+    verdicts, skipped or disagreeing classes included, and
+    classes_checked is their sum.  graphs_checked is the family size
+    that family_budget is checked against.
     """
     _check_positive(family_budget, "family_budget")
     total = 0
@@ -480,7 +483,6 @@ def cross_validate(
 
     disagreements = []
     skipped = []
-    graphs_checked = classes_checked = 0
     tally = Counter()  # classes by verdicts; classify's "normal" implies closed
     states = (0,) + family.weights
 
@@ -492,7 +494,6 @@ def cross_validate(
             if not any(tup):
                 continue
             G = WeightedGraph(n, [(u, v, w) for (u, v), w in zip(pairs, tup) if w])
-            graphs_checked += 1
             canonical = class_verdicts.get(tup)
             if canonical is not None:
                 verdicts = _verdicts(G)
@@ -506,7 +507,6 @@ def cross_validate(
             # the classifier's verdicts whatever the oracle then reports
             report = classify(G)
             verdicts = (report.integrally_closed, report.normal)
-            classes_checked += 1
             tally[verdicts] += 1
             for gather in gathers:
                 class_verdicts[tuple([tup[j] for j in gather])] = verdicts
@@ -547,8 +547,8 @@ def cross_validate(
     return CrossValidationReport(
         family=family,
         t_max=t_max,
-        graphs_checked=graphs_checked,
-        classes_checked=classes_checked,
+        graphs_checked=total,
+        classes_checked=sum(tally.values()),
         disagreements=tuple(disagreements),
         skipped=tuple(skipped),
         normal_classes=tally[True, True],

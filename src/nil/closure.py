@@ -41,9 +41,9 @@ from operator import mul
 from . import simplex
 from .errors import IdealError, ResourceLimitError
 from .ideal import (
-    MonomialIdeal,
     _check_exponent,
     _check_positive,
+    _minimal_ideal,
     contains_power,
     divides,
     power,
@@ -379,11 +379,13 @@ def _as_oracle(I):
 def closure_power_generators(I, k, box_budget=DEFAULT_BOX_BUDGET):
     """Minimal generators of the integral closure of I^k.
 
-    I is an ideal or a ClosureOracle; an ideal gets a fresh oracle.
+    I is an ideal or a ClosureOracle; an ideal gets a fresh oracle.  The
+    scan returns distinct minimal generators, so the ideal is built
+    without the entry checks.
     """
     oracle = _as_oracle(I)
     gens, _ = oracle.scan(k, box_budget)
-    return MonomialIdeal(oracle.ideal.n, gens)
+    return _minimal_ideal(oracle.ideal.n, gens)
 
 
 def is_power_integrally_closed(I, k, box_budget=DEFAULT_BOX_BUDGET):

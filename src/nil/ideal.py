@@ -116,7 +116,9 @@ def _minimal_ideal(n, exps):
 
     exps holds distinct, already checked exponent tuples of length n.  The
     kept elements form an antichain by construction, so the ideal is built
-    without the public constructor's check.
+    without the public constructor's checks.  Every ideal the library
+    builds itself comes from here; the public constructor and minimalize
+    run the entry checks, on outside input alone.
     """
     kept = []
     for e in sorted(exps, key=sum):
@@ -138,10 +140,9 @@ def edge_ideal(G):
         g[u - 1] = w
         g[v - 1] = w
         gens.append(tuple(g))
-    # Distinct edges never divide one another, so this is already minimal.
-    ideal = MonomialIdeal(G.n, gens)
-    assert len(ideal.gens) == len(G.edges)
-    return ideal
+    # Distinct edges have distinct two-vertex supports, so no generator
+    # divides another: every one is kept.
+    return _minimal_ideal(G.n, gens)
 
 
 def power(I, t):
@@ -243,5 +244,5 @@ def restrict(I, V):
         if not (type(v) is int and 1 <= v <= I.n):
             raise IdealError(f"vertex {v!r} outside 1..{I.n}")
     kept = [g for g in I.gens if support(g) <= V]
-    # A subset of an antichain is an antichain; no re-minimalization needed.
-    return MonomialIdeal(I.n, kept)
+    # A subset of an antichain is an antichain: every generator is kept.
+    return _minimal_ideal(I.n, kept)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nil.closure import closure_power_generators
 from nil.errors import GraphError, IdealError, ResourceLimitError
 from nil.ideal import (
     MonomialIdeal,
@@ -325,6 +326,49 @@ class TestRestrict:
             checked += 1
             for k in (2, 3):
                 assert restrict(power(I, k), V) == power(IV, k)
+
+
+class TestLibraryIdeals:
+    def test_built_without_entry_checks(self, monkeypatch):
+        # The library's own ideals are built through _minimal_ideal: none of
+        # these calls runs the public constructor, and each result is the
+        # ideal the constructor would build from its generators.
+        rng = random.Random(26)
+        graphs = [random_graph_with_edge(rng, n_max=6, weights=(1, 2, 3)) for _ in range(30)]
+        ideals = [edge_ideal(G) for G in graphs]
+        cases = []
+        for G, I in zip(graphs, ideals):
+            V = {v for v in range(1, G.n + 1) if rng.random() < 0.5}
+            cases += [
+                ("edge_ideal", edge_ideal, G),
+                ("restrict to V", lambda I, V=V: restrict(I, V), I),
+                ("restrict to nothing", lambda I: restrict(I, set()), I),
+                ("restrict to all", lambda I: restrict(I, range(1, I.n + 1)), I),
+                ("power 2", lambda I: power(I, 2), I),
+                ("power 3", lambda I: power(I, 3), I),
+                ("closure at k = 2", lambda I: closure_power_generators(I, 2), I),
+            ]
+        calls = []
+        init = MonomialIdeal.__init__
+
+        def spy(self, n, gens):
+            calls.append((n, gens))
+            init(self, n, gens)
+
+        monkeypatch.setattr(MonomialIdeal, "__init__", spy)
+        results = []
+        for name, call, arg in cases:
+            results.append((name, call(arg)))
+            assert calls == [], name
+        monkeypatch.undo()
+        for name, result in results:
+            assert result == MonomialIdeal(result.n, result.gens), name
+        for G, I in zip(graphs, ideals):
+            # one generator per edge: (x_u x_v)^w
+            assert set(I.gens) == {
+                tuple(w if i in (u, v) else 0 for i in range(1, G.n + 1))
+                for (u, v), w in G.edges.items()
+            }
 
 
 class TestSupport:
