@@ -458,16 +458,21 @@ def cross_validate(
     verdict must equal the oracle's answer at power 1; a "not normal"
     verdict must come with a certificate the oracle verifies; a "normal"
     verdict must survive normality_scan up to t_max, whose t = 1 step is
-    also the power-1 check, so no power is scanned twice.  Every later
-    graph of the class is decided by _verdicts alone, and must get the
-    verdicts classify gave the representative.  That relabelling check
-    holds two independent implementations against each other for F1-F4;
-    for F5 both sides share chordless_cycles and disjoint_odd_pairs,
-    which the oracle checks on the representatives alone.  Any
-    disagreement is reported with the graph serialized; oracle resource
-    errors skip the class with a logged reason, never a silent pass.  The
-    three class counts tally every representative by the classifier's
-    verdicts, skipped or disagreeing classes included, and
+    also the power-1 check, so no power is scanned twice.  A "not closed"
+    verdict is settled by its certificate when the oracle verifies it at
+    t = 1: the witness lies in the closure of I and not in I, which is the
+    oracle's exact proof, so no box is scanned.  Otherwise (no
+    certificate, one at t != 1, or one that fails or cannot be checked)
+    the power-1 scan decides, and the certificate is still checked only
+    once.  Every later graph of the class is decided by _verdicts alone,
+    and must get the verdicts classify gave the representative.  That
+    relabelling check holds two independent implementations against each
+    other for F1-F4; for F5 both sides share chordless_cycles and
+    disjoint_odd_pairs, which the oracle checks on the representatives
+    alone.  Any disagreement is reported with the graph serialized; oracle
+    resource errors skip the class with a logged reason, never a silent
+    pass.  The three class counts tally every representative by the
+    classifier's verdicts, skipped or disagreeing classes included, and
     classes_checked is their sum.  graphs_checked is the family size
     that family_budget is checked against.
     """
@@ -510,6 +515,14 @@ def cross_validate(
             tally[verdicts] += 1
             for gather in gathers:
                 class_verdicts[tuple([tup[j] for j in gather])] = verdicts
+            cert = report.primary_certificate
+            checked = not report.integrally_closed and cert is not None and cert.t == 1
+            if checked:
+                # a witness verified at t = 1 is the oracle's exact proof that
+                # I is not closed: the scan would only find another witness
+                cert = verify_certificate(G, cert)
+                if cert.verified == "verified":
+                    continue
             try:
                 I = edge_ideal(G)
                 if report.normal:
@@ -527,7 +540,8 @@ def cross_validate(
                 ))
                 continue
             if not report.normal:
-                cert = verify_certificate(G, report.primary_certificate)
+                if not checked:
+                    cert = verify_certificate(G, cert)
                 if cert.verified == "unverified":
                     skipped.append({"graph": graph_as_dict(G), "reason": cert.note})
                 elif cert.verified != "verified":

@@ -52,17 +52,24 @@ def _exact_int(text):
     """The int that `text` spells as ASCII `[+-]?[0-9]+`, else None.
 
     int() alone also reads `1_0` as 10, other scripts' digits (`٢` as 2)
-    and surrounding whitespace.
+    and surrounding whitespace.  Past Python's int-string digit limit,
+    raises ValueError with a message that gives the length, not the digits.
     """
-    if text.isdigit() and text.isascii():
-        return int(text)
-    if text[:1] in ("+", "-") and text[1:].isdigit() and text[1:].isascii():
-        return int(text)
+    try:
+        if text.isdigit() and text.isascii():
+            return int(text)
+        if text[:1] in ("+", "-") and text[1:].isdigit() and text[1:].isascii():
+            return int(text)
+    except ValueError:
+        raise ValueError(f"has {len(text)} characters, too many digits for an integer") from None
     return None
 
 
 def _parse_int(text, lineno, what):
-    value = _exact_int(text)
+    try:
+        value = _exact_int(text)
+    except ValueError as exc:
+        raise GraphFileError(f"{what} {exc}", lineno) from None
     if value is None:
         raise GraphFileError(f"{what} must be an integer, got {text!r}", lineno)
     return value
@@ -348,7 +355,10 @@ def cmd_enumerate(args):
 # ---------------------------------------------------------------------------
 
 def _int_arg(text):
-    value = _exact_int(text)
+    try:
+        value = _exact_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"the value {exc}") from None
     if value is None:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return value
@@ -365,7 +375,10 @@ def _default_box_budget():
     raw = os.environ.get(ENV_BOX_BUDGET)
     if raw is None:
         return DEFAULT_BOX_BUDGET
-    value = _exact_int(raw)
+    try:
+        value = _exact_int(raw)
+    except ValueError as exc:
+        raise GraphError(f"{ENV_BOX_BUDGET} {exc}") from None
     if value is None or value < 1:
         raise GraphError(f"{ENV_BOX_BUDGET} must be a positive integer, got {raw!r}")
     return value

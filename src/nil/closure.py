@@ -148,6 +148,26 @@ def _box_bounds(I, k):
     return tuple(k * max(g[i] for g in I.gens) for i in range(I.n))
 
 
+def _size_text(value):
+    """An int in at most 20 digits, else by its bit length: str() of an
+    int past Python's int-string digit limit raises ValueError."""
+    if value.bit_length() <= 64:
+        return str(value)
+    return f"at least 2^{value.bit_length() - 1}"
+
+
+def _box_refusal(k, volume, box_budget, bounds):
+    """The box-budget refusal, one short line for any box: the first 8
+    bounds stand for a longer list."""
+    shown = ", ".join(_size_text(b) for b in bounds[:8])
+    if len(bounds) > 8:
+        shown += f", ... ({len(bounds)} bounds)"
+    return (
+        f"power t={_size_text(k)}: box volume {_size_text(volume)} "
+        f"exceeds budget {_size_text(box_budget)} (bounds [{shown}])"
+    )
+
+
 class ClosureOracle:
     """The closure scans of one nonzero ideal, and what they share.
 
@@ -234,10 +254,7 @@ class ClosureOracle:
         bounds = _box_bounds(I, k)
         volume = prod(b + 1 for b in bounds)
         if volume > box_budget:
-            raise ResourceLimitError(
-                f"power t={k}: box volume {volume} exceeds budget {box_budget} "
-                f"(bounds {list(bounds)})"
-            )
+            raise ResourceLimitError(_box_refusal(k, volume, box_budget, bounds))
         strides = [prod(b + 1 for b in bounds[i + 1 :]) for i in range(I.n)]
         power_gens = self.power(k).gens
         # one string of volume + 3 characters: "0b1", then the box indices

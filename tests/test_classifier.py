@@ -681,18 +681,57 @@ class TestCrossValidate:
         report = cross_validate(GraphFamily(4, (1, 2, 3)), t_max=2)
         assert report.agreed and report.not_closed_classes == 186
         # 2,321 solves when a not-closed scan walks its whole box; 1,559
-        # when it stops at the degree of the best failure found.
-        assert len(solves) <= 1600
+        # when it stops at the degree of the best failure found; 655 when
+        # a certificate verified at t = 1 settles each of the 186 not-closed
+        # classes with no scan.
+        assert len(solves) <= 700
 
     def test_oracle_resource_error_skips_the_class(self):
-        # A box budget of 1 refuses every power-1 scan: all 11 classes are
-        # skipped, each with its reason, and still tallied by the
-        # classifier's verdicts.
+        # A box budget of 1 refuses every power-1 scan: the 9 normal classes
+        # are skipped, each with its reason, and still tallied by the
+        # classifier's verdicts.  The 2 not-closed classes are settled by
+        # their certificates, which need no box.
         report = cross_validate(GraphFamily(3, (1, 2)), t_max=2, box_budget=1)
         assert report.disagreements == ()
-        assert len(report.skipped) == 11
+        assert len(report.skipped) == 9
         assert all("budget 1" in entry["reason"] for entry in report.skipped)
         assert self.counts(report) == (11, 9, 0, 2)
+
+    def test_verified_certificate_settles_a_not_closed_class(self, monkeypatch):
+        # The two not-closed classes' ideals reach no scan, and each one's
+        # certificate is checked exactly once.
+        import nil.classifier
+        import nil.closure
+
+        scanned = []
+        for module, name in (
+            (nil.closure, "is_power_integrally_closed"),
+            (nil.classifier, "is_power_integrally_closed"),
+            (nil.classifier, "normality_scan"),
+        ):
+            original = getattr(module, name)
+
+            def spy(I, *args, _original=original, **kwargs):
+                scanned.append(getattr(I, "ideal", I))
+                return _original(I, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        verified = []
+        original_verify = nil.classifier.verify_certificate
+
+        def verify(G, cert):
+            verified.append(list(G.edge_list()))
+            return original_verify(G, cert)
+
+        monkeypatch.setattr(nil.classifier, "verify_certificate", verify)
+        report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
+        assert report.agreed and report.skipped == ()
+        assert self.counts(report) == (11, 9, 0, 2)
+        not_closed = [[(1, 3, 2), (2, 3, 2)], [(1, 2, 2), (1, 3, 2), (2, 3, 2)]]
+        assert verified == not_closed
+        for edges in not_closed:
+            assert edge_ideal(build_graph(3, edges)) not in scanned
+        assert scanned
 
     def test_unverified_certificate_skips_the_class(self, monkeypatch):
         # With no power-membership budget, neither certificate of the two
@@ -709,11 +748,48 @@ class TestCrossValidate:
         assert all("budget 0" in entry["reason"] for entry in report.skipped)
         assert self.counts(report) == (11, 9, 0, 2)
 
+    def test_unchecked_certificate_leaves_the_scan_to_decide(self, monkeypatch):
+        # A certificate that cannot be checked settles nothing: both
+        # not-closed classes reach the power-1 scan, and each certificate is
+        # still checked once, not again after the scan.
+        import nil.classifier
+        import nil.ideal
+
+        monkeypatch.setattr(nil.ideal, "POWER_SEARCH_BUDGET", 0)
+        calls = []
+        for name in ("is_power_integrally_closed", "verify_certificate"):
+            original = getattr(nil.classifier, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(nil.classifier, name, spy)
+        report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
+        assert len(report.skipped) == 2 and report.disagreements == ()
+        assert calls == ["verify_certificate", "is_power_integrally_closed"] * 2
+
     def test_reports_a_closedness_disagreement(self, monkeypatch):
         # Negative control: an oracle that calls every ideal closed at
-        # power 1 contradicts the two not-closed classes.
+        # power 1 contradicts the two not-closed classes.  A verified
+        # certificate would settle them with no scan, so each witness is
+        # moved into I (times a generator), where it fails verification.
+        from dataclasses import replace
+
         import nil.classifier
 
+        original = nil.classifier.classify
+
+        def moved(G):
+            report = original(G)
+            cert = report.primary_certificate
+            if cert is None:
+                return report
+            g = edge_ideal(G).gens[0]
+            witness = tuple(a + b for a, b in zip(cert.witness, g))
+            return replace(report, primary_certificate=replace(cert, witness=witness))
+
+        monkeypatch.setattr(nil.classifier, "classify", moved)
         monkeypatch.setattr(
             nil.classifier, "is_power_integrally_closed", lambda I, k, **kw: (True, None)
         )
@@ -721,6 +797,33 @@ class TestCrossValidate:
         assert [(d["issue"], d["classifier"], d["oracle"]) for d in report.disagreements] == [
             ("integral-closedness verdicts differ", False, True)
         ] * 2
+        assert report.skipped == ()
+        assert self.counts(report) == (11, 9, 0, 2)
+
+    def test_reports_a_closedness_disagreement_on_a_normal_class(self, monkeypatch):
+        # Negative control for the normal path: a scan that claims x1 x2 x3
+        # refutes the closedness of the unit triangle's ideal at t = 1.
+        import nil.classifier
+        from nil.closure import NormalityVerdict
+
+        original = nil.classifier.normality_scan
+        triangle_ideal = edge_ideal(triangle())
+
+        def scan(I, **kwargs):
+            if I == triangle_ideal:
+                return NormalityVerdict("counterexample", 1, (1, 1, 1))
+            return original(I, **kwargs)
+
+        monkeypatch.setattr(nil.classifier, "normality_scan", scan)
+        report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
+        assert report.disagreements == (
+            {
+                "graph": {"vertices": 3, "edges": [[1, 2, 1], [1, 3, 1], [2, 3, 1]]},
+                "issue": "integral-closedness verdicts differ",
+                "classifier": True,
+                "oracle": False,
+            },
+        )
         assert report.skipped == ()
         assert self.counts(report) == (11, 9, 0, 2)
 
@@ -834,6 +937,40 @@ class TestCrossValidate:
             ("verdicts differ from canonical relabeling", [[1, 2, 1]], (True, True), (False, False)),
         ]
         assert report.skipped == ()
+
+    def test_witness_scans_refute_every_not_closed_class(self):
+        # cross_validate settles these classes by their certificates, so the
+        # power-1 witness scan on ideals that are not closed is checked here:
+        # one graph per class of the xval family that classify calls not
+        # closed, whose scan must return a witness in the closure of I, not
+        # in I, and of degree at most the certificate's (some minimal
+        # closure generator outside I divides the certificate's witness).
+        from nil.closure import in_closure_power, is_power_integrally_closed
+
+        refuted = 0
+        for n in (2, 3, 4):
+            pairs = list(combinations(range(1, n + 1), 2))
+            index = {p: i for i, p in enumerate(pairs)}
+            seen = set()
+            for tup in product((0, 1, 2, 3), repeat=len(pairs)):
+                if not any(tup) or tup in seen:
+                    continue
+                for perm in permutations(range(1, n + 1)):
+                    image = [0] * len(pairs)
+                    for (u, v), w in zip(pairs, tup):
+                        image[index[tuple(sorted((perm[u - 1], perm[v - 1])))]] = w
+                    seen.add(tuple(image))
+                G = build_graph(n, [(u, v, w) for (u, v), w in zip(pairs, tup) if w])
+                report = classify(G)
+                if report.integrally_closed:
+                    continue
+                I = edge_ideal(G)
+                closed, a = is_power_integrally_closed(I, 1)
+                assert not closed
+                assert in_closure_power(I, a, 1) and not contains_power(I, a, 1)
+                assert sum(a) <= sum(report.primary_certificate.witness)
+                refuted += 1
+        assert refuted == 186
 
     @pytest.mark.parametrize("weights, classes", [((1, 2), 76), ((1, 2, 3), 297)])
     def test_classes_match_burnside(self, weights, classes):

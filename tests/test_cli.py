@@ -207,6 +207,48 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_integers_past_the_digit_limit_exit_two(self, tmp_path, f4_file, capsys, monkeypatch):
+        # int() refuses a string of more than 4,300 digits; the refusal is
+        # one short line that gives the length, not the digits
+        digits = "9" * 5000
+        path = tmp_path / "w.txt"
+        path.write_text(f"vertices 2\nedge 1 2 {digits}\n")
+        for argv in (["classify", str(path)], ["normality", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr() == (
+                "", "error: line 2: weight has 5000 characters, too many digits for an integer\n"
+            )
+        monkeypatch.setenv("NIL_BOX_BUDGET", digits)
+        assert main(["normality", f4_file]) == 2
+        assert capsys.readouterr() == (
+            "", "error: NIL_BOX_BUDGET has 5000 characters, too many digits for an integer\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["normality", f4_file, "--box-budget", digits])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "5000 characters" in err and "99999" not in err
+
+    def test_box_refusal_is_one_short_line(self, tmp_path, capsys):
+        # a volume past the digit limit is written by its size, and a long
+        # bounds list by its first 8 entries and its length
+        weight = 10**1499
+        path = tmp_path / "tri.txt"
+        path.write_text(f"vertices 3\nedge 1 2 {weight}\nedge 2 3 {weight}\nedge 1 3 {weight}\n")
+        for argv in (["normality", str(path)], ["closure", str(path), "1"]):
+            assert main(argv) == 3
+            assert capsys.readouterr() == (
+                "",
+                "error: power t=1: box volume at least 2^14938 exceeds budget 10000000 "
+                "(bounds [at least 2^4979, at least 2^4979, at least 2^4979])\n",
+            )
+        path.write_text("vertices 300\n" + "".join(f"edge {v} 300\n" for v in range(1, 300)))
+        assert main(["normality", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: power t=1: box volume at least 2^300 exceeds budget 10000000 "
+            "(bounds [1, 1, 1, 1, 1, 1, 1, 1, ... (300 bounds)])\n"
+        )
+
     def test_vertex_cap_exits_three(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
         path.write_text("vertices 1000000000\nedge 1 2\n")
