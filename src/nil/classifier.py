@@ -25,7 +25,6 @@ from operator import attrgetter
 from .closure import (
     DEFAULT_BOX_BUDGET,
     in_closure_power,
-    is_power_integrally_closed,
     normality_scan,
 )
 from .errors import GraphError, IdealError, ResourceLimitError
@@ -454,27 +453,26 @@ def cross_validate(
     One pass over the labelled graphs, in product order of their edge
     weights, decides each graph once.  The first graph of an isomorphism
     class in that order is the class's representative, and only it gets
-    the full classify and meets the oracle: its integral-closedness
-    verdict must equal the oracle's answer at power 1; a "not normal"
-    verdict must come with a certificate the oracle verifies; a "normal"
-    verdict must survive normality_scan up to t_max, whose t = 1 step is
-    also the power-1 check, so no power is scanned twice.  A "not closed"
-    verdict is settled by its certificate when the oracle verifies it at
-    t = 1: the witness lies in the closure of I and not in I, which is the
-    oracle's exact proof, so no box is scanned.  Otherwise (no
-    certificate, one at t != 1, or one that fails or cannot be checked)
-    the power-1 scan decides, and the certificate is still checked only
-    once.  Every later graph of the class is decided by _verdicts alone,
-    and must get the verdicts classify gave the representative.  That
-    relabelling check holds two independent implementations against each
-    other for F1-F4; for F5 both sides share chordless_cycles and
-    disjoint_odd_pairs, which the oracle checks on the representatives
-    alone.  Any disagreement is reported with the graph serialized; oracle
-    resource errors skip the class with a logged reason, never a silent
-    pass.  The three class counts tally every representative by the
-    classifier's verdicts, skipped or disagreeing classes included, and
-    classes_checked is their sum.  graphs_checked is the family size
-    that family_budget is checked against.
+    the full classify and meets the oracle.  Its certificate, if any, is
+    checked once, first, by verify_certificate.  A "not closed" verdict
+    whose certificate the oracle verifies at t = 1 is settled there: the
+    witness lies in the closure of I and not in I, which is the oracle's
+    exact proof, so no box is scanned.  Every other representative gets
+    one normality_scan, up to t_max for a "normal" verdict and to 1
+    otherwise, whose t = 1 step decides closedness, so no power is scanned
+    twice.  Then the integral-closedness verdict must equal the scan's, a
+    "not normal" verdict must have a verified certificate, and a "normal"
+    verdict must survive the scan.  Every later graph of the class is
+    decided by _verdicts alone, and must get the verdicts classify gave
+    the representative.  That relabelling check holds two independent
+    implementations against each other for F1-F4; for F5 both sides share
+    chordless_cycles and disjoint_odd_pairs, which the oracle checks on
+    the representatives alone.  Any disagreement is reported with the
+    graph serialized; oracle resource errors skip the class with a logged
+    reason, never a silent pass.  The three class counts tally every
+    representative by the classifier's verdicts, skipped or disagreeing
+    classes included, and classes_checked is their sum.  graphs_checked is
+    the family size that family_budget is checked against.
     """
     _check_positive(family_budget, "family_budget")
     total = 0
@@ -516,23 +514,19 @@ def cross_validate(
             for gather in gathers:
                 class_verdicts[tuple([tup[j] for j in gather])] = verdicts
             cert = report.primary_certificate
-            checked = not report.integrally_closed and cert is not None and cert.t == 1
-            if checked:
-                # a witness verified at t = 1 is the oracle's exact proof that
-                # I is not closed: the scan would only find another witness
+            if cert is not None:
                 cert = verify_certificate(G, cert)
-                if cert.verified == "verified":
+                if not report.integrally_closed and cert.t == 1 and cert.verified == "verified":
+                    # a witness verified at t = 1 is the oracle's exact proof
+                    # that I is not closed: a scan would only find another
                     continue
+            scan_to = t_max if report.normal else 1  # power 1 decides closedness
             try:
-                I = edge_ideal(G)
-                if report.normal:
-                    verdict = normality_scan(I, t_max=t_max, box_budget=box_budget)
-                    oracle_closed = verdict.status != "counterexample" or verdict.t > 1
-                else:
-                    oracle_closed, _ = is_power_integrally_closed(I, 1, box_budget=box_budget)
+                verdict = normality_scan(edge_ideal(G), t_max=scan_to, box_budget=box_budget)
             except ResourceLimitError as exc:
                 skipped.append({"graph": graph_as_dict(G), "reason": str(exc)})
                 continue
+            oracle_closed = verdict.status != "counterexample" or verdict.t > 1
             if oracle_closed != report.integrally_closed:
                 disagreements.append(_record(
                     G, "integral-closedness verdicts differ",
@@ -540,8 +534,6 @@ def cross_validate(
                 ))
                 continue
             if not report.normal:
-                if not checked:
-                    cert = verify_certificate(G, cert)
                 if cert.verified == "unverified":
                     skipped.append({"graph": graph_as_dict(G), "reason": cert.note})
                 elif cert.verified != "verified":

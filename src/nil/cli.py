@@ -21,6 +21,7 @@ import os
 import sys
 from itertools import chain
 from pathlib import Path
+from reprlib import repr as _quote
 
 from . import __version__
 from .classifier import (
@@ -71,7 +72,7 @@ def _parse_int(text, lineno, what):
     except ValueError as exc:
         raise GraphFileError(f"{what} {exc}", lineno) from None
     if value is None:
-        raise GraphFileError(f"{what} must be an integer, got {text!r}", lineno)
+        raise GraphFileError(f"{what} must be an integer, got {_quote(text)}", lineno)
     return value
 
 
@@ -99,7 +100,7 @@ def parse_graph_text(text):
             w = _parse_int(parts[3], lineno, "weight") if len(parts) == 4 else 1
             edges.append((u, v, w))
         else:
-            raise GraphFileError(f"unknown directive {parts[0]!r}", lineno)
+            raise GraphFileError(f"unknown directive {_quote(parts[0])}", lineno)
     if n is None:
         raise GraphFileError("missing vertices header")
     return build_graph(n, edges)
@@ -123,7 +124,7 @@ def parse_graph_json(text):
     edges = []
     for item in data["edges"]:
         if not isinstance(item, list) or len(item) not in (2, 3):
-            raise GraphFileError(f"edge entries must be [u, v] or [u, v, w], got {item!r}")
+            raise GraphFileError(f"edge entries must be [u, v] or [u, v, w], got {_quote(item)}")
         edges.append(tuple(item) if len(item) == 3 else (item[0], item[1], 1))
     return build_graph(n, edges)
 
@@ -360,7 +361,7 @@ def _int_arg(text):
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"the value {exc}") from None
     if value is None:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_quote(text)}")
     return value
 
 
@@ -380,7 +381,7 @@ def _default_box_budget():
     except ValueError as exc:
         raise GraphError(f"{ENV_BOX_BUDGET} {exc}") from None
     if value is None or value < 1:
-        raise GraphError(f"{ENV_BOX_BUDGET} must be a positive integer, got {raw!r}")
+        raise GraphError(f"{ENV_BOX_BUDGET} must be a positive integer, got {_quote(raw)}")
     return value
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from reprlib import repr as _quote
 
 from .errors import GraphError, ResourceLimitError
 
@@ -38,9 +39,9 @@ class WeightedGraph:
     def __init__(self, n, edge_list=()):
         # exact int: True is no vertex count, label or weight
         if type(n) is not int or n < 0:
-            raise GraphError(f"vertex count must be a nonnegative integer, got {n!r}")
+            raise GraphError(f"vertex count must be a nonnegative integer, got {_quote(n)}")
         if n > _MAX_VERTICES:
-            raise ResourceLimitError(f"vertex count {n} exceeds the cap {_MAX_VERTICES}")
+            raise ResourceLimitError(f"vertex count {_quote(n)} exceeds the cap {_MAX_VERTICES}")
         self.n = n
         self.edges = {}
         self.nbr = nbr = [0] * (n + 1)
@@ -48,15 +49,17 @@ class WeightedGraph:
             try:
                 u, v, w = item if len(item) == 3 else (*item, 1)
             except (TypeError, ValueError):
-                raise GraphError(f"an edge is (u, v) or (u, v, w), got {item!r}") from None
+                raise GraphError(f"an edge is (u, v) or (u, v, w), got {_quote(item)}") from None
             if not (type(u) is int and type(v) is int):
-                raise GraphError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
+                raise GraphError(f"edge endpoints must be integers, got ({_quote(u)}, {_quote(v)})")
             if u == v:
-                raise GraphError(f"self-loop at vertex {u} is not allowed")
+                raise GraphError(f"self-loop at vertex {_quote(u)} is not allowed")
             if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphError(f"edge ({u}, {v}) has an endpoint outside 1..{n}")
+                raise GraphError(f"edge ({_quote(u)}, {_quote(v)}) has an endpoint outside 1..{n}")
             if type(w) is not int or w < 1:
-                raise GraphError(f"edge ({u}, {v}) has weight {w!r}; weights must be integers >= 1")
+                raise GraphError(
+                    f"edge ({u}, {v}) has weight {_quote(w)}; weights must be integers >= 1"
+                )
             key = (u, v) if u < v else (v, u)
             if key in self.edges:
                 raise GraphError(f"duplicate edge ({key[0]}, {key[1]})")
@@ -116,7 +119,7 @@ def induced_subgraph(G, V):
     members = set()
     for v in V:
         if not (type(v) is int and 1 <= v <= G.n):
-            raise GraphError(f"vertex {v!r} outside 1..{G.n}")
+            raise GraphError(f"vertex {_quote(v)} outside 1..{G.n}")
         members.add(v)
     label_map = {old: new for new, old in enumerate(sorted(members), start=1)}
     new_edges = [

@@ -633,7 +633,6 @@ class TestCrossValidate:
         assert report.note
 
     def test_no_power_scanned_twice(self, monkeypatch):
-        import nil.classifier
         import nil.closure
 
         original = nil.closure.is_power_integrally_closed
@@ -645,7 +644,6 @@ class TestCrossValidate:
             return original(I, k, *args, **kwargs)
 
         monkeypatch.setattr(nil.closure, "is_power_integrally_closed", spy)
-        monkeypatch.setattr(nil.classifier, "is_power_integrally_closed", spy)
         report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
         assert scans and len(scans) == len(set(scans))
         assert report.agreed
@@ -706,7 +704,6 @@ class TestCrossValidate:
         scanned = []
         for module, name in (
             (nil.closure, "is_power_integrally_closed"),
-            (nil.classifier, "is_power_integrally_closed"),
             (nil.classifier, "normality_scan"),
         ):
             original = getattr(module, name)
@@ -751,32 +748,47 @@ class TestCrossValidate:
     def test_unchecked_certificate_leaves_the_scan_to_decide(self, monkeypatch):
         # A certificate that cannot be checked settles nothing: both
         # not-closed classes reach the power-1 scan, and each certificate is
-        # still checked once, not again after the scan.
+        # checked once, before the scan and not again after it.
         import nil.classifier
         import nil.ideal
 
         monkeypatch.setattr(nil.ideal, "POWER_SEARCH_BUDGET", 0)
         calls = []
-        for name in ("is_power_integrally_closed", "verify_certificate"):
-            original = getattr(nil.classifier, name)
+        original_verify = nil.classifier.verify_certificate
+        original_scan = nil.classifier.normality_scan
 
-            def spy(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+        def verify(G, cert):
+            calls.append(("verify_certificate", edge_ideal(G)))
+            return original_verify(G, cert)
 
-            monkeypatch.setattr(nil.classifier, name, spy)
+        def scan(I, **kwargs):
+            calls.append(("normality_scan", I, kwargs["t_max"]))
+            return original_scan(I, **kwargs)
+
+        monkeypatch.setattr(nil.classifier, "verify_certificate", verify)
+        monkeypatch.setattr(nil.classifier, "normality_scan", scan)
         report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
         assert len(report.skipped) == 2 and report.disagreements == ()
-        assert calls == ["verify_certificate", "is_power_integrally_closed"] * 2
+        # the nine normal classes have no certificate and are scanned to t_max
+        assert len([call for call in calls if call[2:] == (2,)]) == 9
+        assert [call for call in calls if call[2:] != (2,)] == [
+            call
+            for I in (
+                edge_ideal(build_graph(3, [(1, 3, 2), (2, 3, 2)])),
+                edge_ideal(build_graph(3, [(1, 2, 2), (1, 3, 2), (2, 3, 2)])),
+            )
+            for call in (("verify_certificate", I), ("normality_scan", I, 1))
+        ]
 
     def test_reports_a_closedness_disagreement(self, monkeypatch):
-        # Negative control: an oracle that calls every ideal closed at
-        # power 1 contradicts the two not-closed classes.  A verified
+        # Negative control: an oracle that calls every power of every ideal
+        # closed contradicts the two not-closed classes.  A verified
         # certificate would settle them with no scan, so each witness is
         # moved into I (times a generator), where it fails verification.
         from dataclasses import replace
 
         import nil.classifier
+        import nil.closure
 
         original = nil.classifier.classify
 
@@ -791,7 +803,7 @@ class TestCrossValidate:
 
         monkeypatch.setattr(nil.classifier, "classify", moved)
         monkeypatch.setattr(
-            nil.classifier, "is_power_integrally_closed", lambda I, k, **kw: (True, None)
+            nil.closure, "is_power_integrally_closed", lambda I, k, **kw: (True, None)
         )
         report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
         assert [(d["issue"], d["classifier"], d["oracle"]) for d in report.disagreements] == [
@@ -799,6 +811,67 @@ class TestCrossValidate:
         ] * 2
         assert report.skipped == ()
         assert self.counts(report) == (11, 9, 0, 2)
+
+    def test_reports_a_failed_certificate_on_a_closed_class(self, monkeypatch):
+        # Negative control for the closed but not normal path: classify
+        # calls the unit triangle closed but not normal, with a made-up F4
+        # certificate at t = 2 whose witness x1 x2 x3 has degree 3 < 4, so
+        # it lies outside closure(I^2).  The power-1 scan agrees that I is
+        # closed and the certificate fails; with box_budget=1 the scan is
+        # refused and the class is skipped.  Either way the certificate is
+        # checked exactly once.
+        from dataclasses import replace
+
+        import nil.classifier
+        from nil.classifier import Certificate, ForbiddenConfig
+
+        unit = triangle()
+        made_up = Certificate(
+            config=ForbiddenConfig(
+                "F4", (1, 2, 3), ((1, 2, 1), (1, 3, 1), (2, 3, 1)), cycles=((1, 2, 3),)
+            ),
+            t=2,
+            witness=(1, 1, 1),
+        )
+        original = nil.classifier.classify
+
+        def wrong(G):
+            report = original(G)
+            if G == unit:
+                return replace(report, normal=False, primary_certificate=made_up)
+            return report
+
+        verified = []
+        original_verify = nil.classifier.verify_certificate
+
+        def verify(G, cert):
+            verified.append(G)
+            return original_verify(G, cert)
+
+        monkeypatch.setattr(nil.classifier, "classify", wrong)
+        monkeypatch.setattr(nil.classifier, "verify_certificate", verify)
+        unit_dict = {"vertices": 3, "edges": [[1, 2, 1], [1, 3, 1], [2, 3, 1]]}
+        report = cross_validate(GraphFamily(3, (1, 2)), t_max=2)
+        assert report.disagreements == (
+            {
+                "graph": unit_dict,
+                "issue": "certificate failed verification",
+                "certificate": {"kind": "F4", "t": 2, "witness": [1, 1, 1]},
+                "detail": "in_closure_power=False, contains_power=False",
+            },
+        )
+        assert report.skipped == ()
+        assert self.counts(report) == (11, 8, 1, 2)
+        assert verified.count(unit) == 1
+
+        verified.clear()
+        report = cross_validate(GraphFamily(3, (1, 2)), t_max=2, box_budget=1)
+        assert report.disagreements == ()
+        assert len(report.skipped) == 9
+        assert unit_dict in [entry["graph"] for entry in report.skipped]
+        assert all("budget 1" in entry["reason"] for entry in report.skipped)
+        assert self.counts(report) == (11, 8, 1, 2)
+        assert verified.count(unit) == 1
 
     def test_reports_a_closedness_disagreement_on_a_normal_class(self, monkeypatch):
         # Negative control for the normal path: a scan that claims x1 x2 x3

@@ -249,6 +249,22 @@ class TestExitCodes:
             "(bounds [1, 1, 1, 1, 1, 1, 1, 1, ... (300 bounds)])\n"
         )
 
+    def test_oversized_input_values_are_quoted_short(self, tmp_path, capsys):
+        # an input error quotes the offending value abridged, not whole
+        inputs = {
+            "w.json": json.dumps({"vertices": 2, "edges": [[1, 2, [0] * 200_000]]}),
+            "token.txt": "vertices 2\nedge 1 2 " + "x" * 200_000 + "\n",
+            "directive.txt": "vertices 2\n" + "y" * 200_000 + " 1\n",
+        }
+        for name, text in inputs.items():
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["classify", str(path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert len(err.encode()) < 200 and "Traceback" not in err
+        assert err == "error: line 2: unknown directive 'yyyyyyyyyyyy...yyyyyyyyyyyyy'\n"
+
     def test_vertex_cap_exits_three(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
         path.write_text("vertices 1000000000\nedge 1 2\n")
