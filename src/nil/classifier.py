@@ -132,14 +132,21 @@ def find_f1_f2_f3(G):
 
 
 def _cycle_edges(G, cycle):
-    return tuple(sorted(_edge_triple(G, cycle[i - 1], x) for i, x in enumerate(cycle)))
+    """The cycle's (u, v, w) edges, u < v, as a sorted list."""
+    edges = G.edges
+    keys = sorted([(x, y) if x < y else (y, x) for x, y in zip(cycle, cycle[1:] + cycle[:1])])
+    return [(u, v, edges[u, v]) for u, v in keys]
 
 
 def find_f4(G, odd=None):
     """All (chordless odd cycle, disjoint nontrivial edge) pairs with no
     edge between the cycle and the edge.  Cycle weights are unconstrained.
     `odd`, when given, is odd_chordless_cycles(G).  An F4 needs five
-    vertices, so smaller graphs have none."""
+    vertices, so smaller graphs have none.
+
+    Ordered by vertices, then by edges; ties keep the order they are found
+    in, by cycle as `odd` lists them, then by pendant in edge order.  Each
+    configuration is sorted as a plain row and built once, in that order."""
     if G.n < 5:
         return []
     if odd is None:
@@ -149,7 +156,7 @@ def find_f4(G, odd=None):
         return []
     nbr = G.nbr
     ends = [(1 << u) | (1 << v) for u, v, _ in heavy_edges]
-    configs = []
+    rows = []
     for cycle in odd:
         # the cycle's closed neighbourhood: the pendant must avoid it
         closed = 0
@@ -161,44 +168,55 @@ def find_f4(G, odd=None):
                 continue
             if cycle_edges is None:
                 cycle_edges = _cycle_edges(G, cycle)
+                cycle_vertices = sorted(cycle)
             u, v, _ = pendant
-            configs.append(
-                ForbiddenConfig(
-                    "F4",
-                    vertices=tuple(sorted(cycle + (u, v))),
-                    edges=tuple(sorted(cycle_edges + (pendant,))),
-                    cycles=(cycle,),
-                    pendant=pendant,
-                )
-            )
-    configs.sort(key=lambda c: (c.vertices, c.edges))
-    return configs
+            rows.append((
+                tuple(sorted(cycle_vertices + [u, v])),
+                tuple(sorted(cycle_edges + [pendant])),
+                len(rows),  # ties keep the order they were found in
+                cycle,
+                pendant,
+            ))
+    rows.sort()
+    return [
+        ForbiddenConfig("F4", vertices, edges, (cycle,), pendant)
+        for vertices, edges, _, cycle, pendant in rows
+    ]
 
 
 def find_f5(G, odd=None):
     """All pairs of vertex-disjoint chordless odd cycles whose connecting
     edges are all nontrivial (the connector set may be empty).
-    `odd`, when given, is odd_chordless_cycles(G)."""
+    `odd`, when given, is odd_chordless_cycles(G).
+
+    Ordered by vertices, then by edges; ties keep the order in which
+    disjoint_odd_pairs yields the pairs.  Each configuration is sorted as a
+    plain row and built once, in that order."""
     if odd is None:
         odd = odd_chordless_cycles(G)
     light = (e for e, w in G.edges.items() if w == 1)
-    cycle_edges = {}
-    configs = []
+    sorted_cycle = {}  # cycle -> (its vertices, its edges), each sorted
+    rows = []
     for c1, c2, cross in disjoint_odd_pairs(G, odd, barred=light):
         for c in (c1, c2):
-            if c not in cycle_edges:
-                cycle_edges[c] = _cycle_edges(G, c)
-        configs.append(
-            ForbiddenConfig(
-                "F5",
-                vertices=tuple(sorted(c1 + c2)),
-                edges=tuple(sorted(cycle_edges[c1] + cycle_edges[c2] + tuple(cross))),
-                cycles=(c1, c2),
-                connectors=tuple(sorted(cross)),
-            )
-        )
-    configs.sort(key=lambda c: (c.vertices, c.edges))
-    return configs
+            if c not in sorted_cycle:
+                sorted_cycle[c] = (sorted(c), _cycle_edges(G, c))
+        vertices1, edges1 = sorted_cycle[c1]
+        vertices2, edges2 = sorted_cycle[c2]
+        cross.sort()
+        rows.append((
+            tuple(sorted(vertices1 + vertices2)),
+            tuple(sorted(edges1 + edges2 + cross)),
+            len(rows),  # ties keep the order they were found in
+            c1,
+            c2,
+            tuple(cross),
+        ))
+    rows.sort()
+    return [
+        ForbiddenConfig("F5", vertices, edges, (c1, c2), None, connectors)
+        for vertices, edges, _, c1, c2, connectors in rows
+    ]
 
 
 def _embed(G, assignments):

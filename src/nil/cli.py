@@ -187,41 +187,44 @@ def _write(value, newline):
 
 
 def _write_record(config, newline):
-    # The shape holds every row's length, so a template serves only records
-    # whose ints fill its slots in the same places.  A record's ints are
-    # exact ints (WeightedGraph's rule), which %d writes as repr does.
-    template = _record_template(
-        newline,
-        config.kind,
-        tuple(map(len, config.connectors)),
-        tuple(map(len, config.cycles)),
-        tuple(map(len, config.edges)),
-        None if config.pendant is None else len(config.pendant),
-        len(config.vertices),
+    # The key holds the row counts and every row's length, so a template
+    # serves only records whose ints fill its slots in the same places.  A
+    # record's ints are exact ints (WeightedGraph's rule), which %d writes
+    # as repr does.
+    connectors, cycles, edges, pendant = (
+        config.connectors, config.cycles, config.edges, config.pendant
     )
-    return template % tuple(chain(
-        *config.connectors, *config.cycles, *config.edges, config.pendant or (), config.vertices
+    rows = (*connectors, *cycles, *edges)
+    template = _record_template((
+        newline, config.kind, len(connectors), len(cycles),
+        -1 if pendant is None else len(pendant), len(config.vertices), *map(len, rows),
     ))
+    return template % (*chain.from_iterable(rows), *(pendant or ()), *config.vertices)
 
 
 # Reports repeat a few shapes (kinds, cycle lengths, connector counts), and
 # a template is about as long as its record, so a bounded cache holds them.
 @functools.lru_cache(maxsize=256)
-def _record_template(newline, kind, connectors, cycles, edges, pendant, vertices):
-    """A record's text with a `%d` slot for each int.  `connectors`,
-    `cycles` and `edges` are row lengths, `pendant` a length or None and
-    `vertices` a length; keys come in sorted order, `connectors` for every
-    F5, even when empty, `cycles` only when there are any."""
+def _record_template(key):
+    """A record's text with a `%d` slot for each int.  `key` is the
+    newline, the kind, the connector and cycle counts, the pendant's length
+    (-1 for none), the vertex count, then the length of each connector,
+    cycle and edge row in turn.  The record's JSON keys come in sorted
+    order, `connectors` for every F5, even when empty, `cycles` only when
+    there are any."""
+    newline, kind, n_connectors, n_cycles, pendant, vertices, *lengths = key
     inner = newline + "  "
     row_at = inner + "  "
+    rows = [_slots(k, row_at) for k in lengths]
+    cycles_at = n_connectors + n_cycles
     body = []
     if kind == "F5":
-        body.append('"connectors": ' + _layout([_slots(k, row_at) for k in connectors], inner))
-    if cycles:
-        body.append('"cycles": ' + _layout([_slots(k, row_at) for k in cycles], inner))
-    body.append('"edges": ' + _layout([_slots(k, row_at) for k in edges], inner))
+        body.append('"connectors": ' + _layout(rows[:n_connectors], inner))
+    if n_cycles:
+        body.append('"cycles": ' + _layout(rows[n_connectors:cycles_at], inner))
+    body.append('"edges": ' + _layout(rows[cycles_at:], inner))
     body.append('"kind": ' + _encode_key(kind).replace("%", "%%"))
-    if pendant is not None:
+    if pendant >= 0:
         body.append('"pendant": ' + _slots(pendant, inner))
     body.append('"vertices": ' + _slots(vertices, inner))
     return "{" + inner + ("," + inner).join(body) + newline + "}"

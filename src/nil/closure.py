@@ -39,7 +39,7 @@ from math import prod
 from operator import mul
 
 from . import simplex
-from .errors import IdealError, ResourceLimitError
+from .errors import IdealError, ResourceLimitError, _size_text
 from .ideal import (
     _check_exponent,
     _check_positive,
@@ -146,14 +146,6 @@ def in_closure_power(I, a, k):
 
 def _box_bounds(I, k):
     return tuple(k * max(g[i] for g in I.gens) for i in range(I.n))
-
-
-def _size_text(value):
-    """An int in at most 20 digits, else by its bit length: str() of an
-    int past Python's int-string digit limit raises ValueError."""
-    if value.bit_length() <= 64:
-        return str(value)
-    return f"at least 2^{value.bit_length() - 1}"
 
 
 def _box_refusal(k, volume, box_budget, bounds):

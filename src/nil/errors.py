@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and how their messages write an int."""
 
 
 class GraphError(ValueError):
@@ -24,3 +24,13 @@ class ResourceLimitError(RuntimeError):
 
     Budgets fail loudly instead of degrading; the message names the bound.
     """
+
+
+def _size_text(value):
+    """An int in at most 20 digits, else as a power-of-two bound from its
+    bit length: str() of an int past Python's int-string digit limit
+    raises ValueError."""
+    if value.bit_length() <= 64:
+        return str(value)
+    bound = "at most -2^" if value < 0 else "at least 2^"
+    return f"{bound}{value.bit_length() - 1}"

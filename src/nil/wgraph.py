@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from reprlib import repr as _quote
+from reprlib import Repr
 
-from .errors import GraphError, ResourceLimitError
+from .errors import GraphError, ResourceLimitError, _size_text
 
 DEFAULT_CYCLE_CAP = 10**6
 # Every vertex gets a neighbour mask and a report entry, so a graph file
@@ -23,6 +23,18 @@ DEFAULT_CYCLE_CAP = 10**6
 # highest neighbour label, so the masks of n vertices hold up to n * n
 # bits: at this cap, 2^30 bits (128 MiB), refused before any is built.
 _MAX_VERTICES = 2**15
+
+
+class _Quote(Repr):
+    """reprlib's abridged values for error messages, with every int, also
+    one inside a tuple or list, written by _size_text: repr() of an int past
+    Python's int-string digit limit raises ValueError."""
+
+    def repr_int(self, x, level):
+        return _size_text(x)
+
+
+_quote = _Quote().repr
 
 
 class WeightedGraph:
@@ -82,7 +94,7 @@ class WeightedGraph:
         try:
             return self.edges[key]
         except KeyError:
-            raise GraphError(f"no edge ({u}, {v})") from None
+            raise GraphError(f"no edge ({_quote(u)}, {_quote(v)})") from None
 
     def degree(self, v):
         return self.nbr[v].bit_count()
@@ -238,21 +250,21 @@ def is_bipartite(G):
 
 
 def chordless_cycles(G, max_count=DEFAULT_CYCLE_CAP):
-    """All chordless (induced) cycles, canonical form, sorted.
+    """All chordless (induced) cycles, canonical form, sorted by length,
+    then by vertices.
 
-    Extends induced paths from anchors taken in decreasing degree order,
-    ties by label: each cycle is found once, from its first vertex in that
-    order, among the vertices not yet anchored, so the hubs' many paths
-    leave the later searches.  A path closes into a cycle only through a
-    vertex adjacent to both ends and nothing in between, and of the
-    anchor's two cycle neighbours the smaller label comes second.  The
-    cycles are then rotated and reflected into canonical form and sorted.
-    Raises ResourceLimitError past `max_count` cycles.
+    Extends induced paths from anchors taken in label order, among the
+    vertices not yet anchored, so each cycle is found once, from its least
+    vertex.  A path closes into a cycle only through a vertex adjacent to
+    both ends and nothing in between, and of the anchor's two cycle
+    neighbours the smaller label comes second.  So every cycle is found in
+    canonical form and only the sort is left.  Raises ResourceLimitError
+    past `max_count` cycles.
     """
     cycles = []
     nbr = G.nbr
     done = 1  # bit 0 and the anchors already searched
-    for a in sorted(G.vertices(), key=G.degree, reverse=True):  # stable: ties by label
+    for a in G.vertices():
         done |= 1 << a
         anchor = nbr[a] & ~done
         seconds = anchor
@@ -294,9 +306,6 @@ def chordless_cycles(G, max_count=DEFAULT_CYCLE_CAP):
                     stack.append((extend, blocked | nbr[y]))
                 else:
                     path.pop()
-    # in place, so the list holds each cycle once, and only below the cap
-    for i, cycle in enumerate(cycles):
-        cycles[i] = _canonical(cycle)
     cycles.sort()
     cycles.sort(key=len)  # stable: by length, then by vertices
     return cycles

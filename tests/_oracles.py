@@ -30,7 +30,7 @@ from math import lcm, prod
 from operator import mul
 
 import nil.closure
-from nil.classifier import ForbiddenConfig, _cycle_edges, graph_as_dict
+from nil.classifier import ForbiddenConfig, graph_as_dict
 from nil.errors import GraphError, ResourceLimitError
 from nil.ideal import MonomialIdeal, divides, minimalize
 from nil.wgraph import WeightedGraph, canonical_cycle, induced_subgraph
@@ -330,6 +330,14 @@ def reference_odd_cycle_condition(G):
     return True, None
 
 
+def reference_cycle_edges(G, cycle):
+    """The (u, v, w) edges of a cycle, u < v, in no particular order: one
+    G.weight per pair of consecutive vertices, the last closing the cycle."""
+    return tuple(
+        (min(x, y), max(x, y), G.weight(x, y)) for x, y in zip(cycle, cycle[1:] + cycle[:1])
+    )
+
+
 def reference_find_f4(G, odd):
     """classifier.find_f4 with the closed neighbourhood as a vertex set."""
     adj = neighbour_sets(G)
@@ -344,7 +352,7 @@ def reference_find_f4(G, odd):
                 ForbiddenConfig(
                     "F4",
                     vertices=tuple(sorted(cycle + (u, v))),
-                    edges=tuple(sorted(_cycle_edges(G, cycle) + ((u, v, w),))),
+                    edges=tuple(sorted(reference_cycle_edges(G, cycle) + ((u, v, w),))),
                     cycles=(cycle,),
                     pendant=(u, v, w),
                 )
@@ -365,7 +373,9 @@ def reference_find_f5(G, odd):
                 "F5",
                 vertices=tuple(sorted(c1 + c2)),
                 edges=tuple(
-                    sorted(_cycle_edges(G, c1) + _cycle_edges(G, c2) + tuple(cross))
+                    sorted(
+                        reference_cycle_edges(G, c1) + reference_cycle_edges(G, c2) + tuple(cross)
+                    )
                 ),
                 cycles=(c1, c2),
                 connectors=tuple(sorted(cross)),

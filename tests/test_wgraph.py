@@ -105,6 +105,27 @@ class TestConstruction:
         for u, v in ((1, 3), (3, 1)):
             with pytest.raises(GraphError, match=r"no edge \(%d, %d\)" % (u, v)):
                 G.weight(u, v)
+        with pytest.raises(GraphError, match=r"^no edge \(1, at least 2\^16609\)$"):
+            G.weight(1, 10**5000)
+
+    # Ints past Python's int-string digit limit (4,300 digits), which str()
+    # refuses, are quoted by their size: one short line, no ValueError.
+    def test_huge_vertex_count_hits_the_cap(self):
+        with pytest.raises(ResourceLimitError) as err:
+            build_graph(10**5000, [])
+        assert str(err.value) == "vertex count at least 2^16609 exceeds the cap 32768"
+
+    def test_huge_endpoint_rejected(self):
+        with pytest.raises(GraphError) as err:
+            build_graph(3, [(1, 10**5000, 1)])
+        assert str(err.value) == "edge (1, at least 2^16609) has an endpoint outside 1..3"
+
+    def test_huge_negative_weight_rejected(self):
+        with pytest.raises(GraphError) as err:
+            build_graph(2, [(1, 2, -10**5000)])
+        assert str(err.value) == (
+            "edge (1, 2) has weight at most -2^16609; weights must be integers >= 1"
+        )
 
     def test_pair_defaults_to_weight_one(self):
         assert build_graph(2, [(1, 2)]).weight(1, 2) == 1
@@ -162,7 +183,7 @@ class TestInducedSubgraph:
 
     def test_vertices_must_be_exact_ints(self):
         # True and 1.0 once passed and keyed the label map by themselves
-        for V in (["a"], [True, 2], [1.0, 2], [2, IntEnum("V", "ONE TWO").TWO]):
+        for V in (["a"], [True, 2], [1.0, 2], [2, IntEnum("V", "ONE TWO").TWO], [10**5000]):
             with pytest.raises(GraphError, match="vertex"):
                 induced_subgraph(triangle(), V)
 
@@ -268,8 +289,18 @@ class TestChordlessCycles:
 
     def test_random_up_to_seven(self):
         rng = random.Random(17)
-        for _ in range(120):
-            G = random_graph(rng, n_max=7)
+        graphs = [random_graph(rng, n_max=7) for _ in range(120)]
+        # Anchors go in label order, so hubs at the top labels are anchored
+        # last and every cycle through them is found from a rim vertex: a
+        # wheel with its hub at 9, and graphs whose hubs 8, 9 and 10 each
+        # join most of the sparse rim 1..7.
+        rim = [(i, i % 8 + 1) for i in range(1, 9)]
+        graphs.append(build_graph(9, rim + [(i, 9) for i in range(1, 9)]))
+        for _ in range(12):
+            pairs = combinations(range(1, 11), 2)
+            edges = [(u, v) for u, v in pairs if rng.random() < (0.2 if v < 8 else 0.9)]
+            graphs.append(build_graph(10, edges))
+        for G in graphs:
             assert chordless_cycles(G) == brute_chordless_cycles(G)
 
     def test_count_cap(self):
@@ -293,10 +324,10 @@ class TestChordlessCycles:
         assert 20 < held < 130  # both verdicts are exercised
 
     def test_invariant_under_relabelling(self):
-        # Anchors follow degrees, not labels: relabelling moves the search,
-        # never the list.  The wheel's hub has the most neighbours and the
-        # highest label, so it is anchored first and each of its cycles
-        # needs rotating into canonical form.
+        # Anchors follow labels: relabelling moves the search, never the
+        # list.  The wheel's hub has the most neighbours and the highest
+        # label, so it is anchored last and its cycles are found from the
+        # rim.
         rng = random.Random(45)
         wheel = build_graph(9, [(i, i % 8 + 1) for i in range(1, 9)] + [(i, 9) for i in range(1, 9)])
         assert chordless_cycles(wheel) == reference_chordless_cycles(wheel)
