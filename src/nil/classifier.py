@@ -27,7 +27,7 @@ from .closure import (
     in_closure_power,
     normality_scan,
 )
-from .errors import GraphError, IdealError, ResourceLimitError
+from .errors import GraphError, IdealError, ResourceLimitError, _quote
 from .ideal import _check_positive, contains_power, edge_ideal
 from .wgraph import (
     WeightedGraph,
@@ -321,7 +321,7 @@ def classify(G, config_cap=DEFAULT_CONFIG_CAP):
     notes holds one line per truncated kind.
     """
     if type(config_cap) is not int or config_cap < 0:
-        raise GraphError(f"config_cap must be an integer >= 0, got {config_cap!r}")
+        raise GraphError(f"config_cap must be an integer >= 0, got {_quote(config_cap)}")
     if not G.edges:
         raise GraphError("classification needs at least one edge")
     # listed on every graph, even below the 5 vertices an F4 needs: the

@@ -19,8 +19,12 @@ A scan of I^k looks for closure points only in the staircase of I^k, the
 points of the degree box that no generator of I^k divides (its standard
 monomials): every other box point is already known to lie in I^k.  The
 up-set of the generators is built as one Python int with a bit per box
-point, by shifts along each axis, and the scan walks the staircase row by
-row in product order.  It solves an LP only at points that no cut rejects.
+point, by shifts along each axis.  The closure LP's optimum is monotone in
+a, so the scan first tests the staircase's maximal points (its corners,
+found by the same shifts): when none lies in the closure, I^k is closed
+in the box, and no row is walked.  Otherwise the scan walks the staircase
+row by row in product order.  Both phases solve an LP only at points that
+no cut rejects.
 
 No floating point appears anywhere in a decision path.  The simplex
 returns its optimum, primal and dual as arbitrary-precision ints, each
@@ -32,6 +36,7 @@ Fractions of its public optimum, coeffs and dual only when they are read.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
@@ -196,11 +201,18 @@ class ClosureOracle:
 
         A minimal closure generator is either a generator of I^k or lies in
         the staircase of I^k: the box points that no generator of I^k
-        divides.  The walk visits the staircase alone, in product (lex)
-        order, a row at a time along the last axis that has room; the
-        staircase is a down-set, so it holds a prefix of each row.  A
-        generator of I^k is minimal in the closure exactly when no failure
-        divides it.
+        divides.  A generator of I^k is minimal in the closure exactly when
+        no failure divides it.
+
+        The closure LP's optimum is monotone in a, so I^k is closed in the
+        box exactly when no maximal staircase point (corner) lies in the
+        closure.  The corners are tested first (_corner_in_closure); when
+        none lies in the closure, the scan returns with no failures and
+        walks no row.  Most scans end there.  Otherwise the walk visits the
+        staircase alone, in product (lex) order, a row at a time along the
+        last axis that has room; the staircase is a down-set, so it holds a
+        prefix of each row, and a row holds at most one corner, its last
+        point.  So the corners never outnumber the rows walked.
 
         The closure is an up-set, so within a row its points form a suffix,
         and a staircase point a is a minimal closure point exactly when no
@@ -227,9 +239,12 @@ class ClosureOracle:
         bound on a row does not depend on the others, so after the rules
         x is their largest bound, or past the row's candidates, in any
         order: the rule order changes no solve, and the oracle's cuts keep
-        the order in which they were found.  The points solved are those
-        the plain product walk solves, in the same order, so the cuts and
-        every result match it.
+        the order in which they were found.  The walk also holds the
+        corners' cuts, so it may solve fewer or other points than the plain
+        product walk.  But a failure's optimum reaches k, so no cut rejects
+        it, and the candidates, marks and ceiling depend on the failures
+        alone: the failures are the plain walk's, in its order, and so are
+        the generators.
 
         With witness_only, a failure of degree d lowers a degree ceiling to
         d, and every later point of degree >= d is skipped, unmarked: later
@@ -249,8 +264,15 @@ class ClosureOracle:
             raise ResourceLimitError(_box_refusal(k, volume, box_budget, bounds))
         strides = [prod(b + 1 for b in bounds[i + 1 :]) for i in range(I.n)]
         power_gens = self.power(k).gens
-        # one string of volume + 3 characters: "0b1", then the box indices
-        up = bin(_upper_set(power_gens, bounds, strides, volume) | 1 << volume)
+        min_degree = k * min(sum(g) for g in I.gens)
+        up = _upper_set(power_gens, bounds, strides, volume)
+        if not self._corner_in_closure(k, up, bounds, strides, volume, min_degree):
+            return ([], []) if witness_only else (list(power_gens), [])
+        # one string of volume + 3 characters: "0b1", then the box indices;
+        # the top bit is set first, so the int and the string are all that
+        # is held at once
+        up |= 1 << volume
+        up = bin(up)
         # Rows run along the last axis j with room; the axes after j are 0,
         # so a row is a run of consecutive indices, and row r's prefix (its
         # first j coordinates) is the r-th tuple of the product below.
@@ -262,7 +284,6 @@ class ClosureOracle:
         # scan-local rules (k * D, Y[:j], Y[j]), one per cut
         rules = [(k * D, Y[:j], Y[j]) for Y, D in cuts]
         marked = None
-        min_degree = k * min(sum(g) for g in I.gens)
         ceiling = sum(bounds) + 1
         failures = []
         for start, length in _staircase_rows(up, width):
@@ -331,17 +352,51 @@ class ClosureOracle:
         ]
         return found, failures
 
+    def _corner_in_closure(self, k, up, bounds, strides, volume, min_degree):
+        """True iff some maximal point of the staircase of I^k lies in the
+        closure of I^k.
+
+        The closure LP's optimum is monotone in a, and every staircase
+        point lies below a maximal one, so I^k is closed in the box exactly
+        when this is False.  The corners are tested in index order: one
+        below min_degree has optimum below k, one that a cut rejects is
+        skipped, and the rest are solved, their new cuts kept, until one
+        reaches k.  The corners are read off the bytes of their int, so no
+        volume-length string is held here; the walk builds its own only
+        after this returns.
+        """
+        I, cuts = self.ideal, self.cuts
+        corners = _corners(((1 << volume) - 1) ^ up, bounds, strides, volume)
+        for index in _set_indices(corners, volume):
+            a = []
+            for s in strides:
+                x, index = divmod(index, s)
+                a.append(x)
+            if sum(a) < min_degree or any(
+                sum(map(mul, Y, a)) < k * D for Y, D in cuts
+            ):
+                continue
+            result = lp_max_weight(I, a)
+            if result.cut not in cuts:
+                cuts.append(result.cut)
+            if result.num >= k * result.den:
+                return True
+        return False
+
 
 def _tile(block, width, count):
-    """The int made of count copies of the width-bit field block, by doubling."""
+    """The int made of count copies of the width-bit field block, by
+    doubling.  The block is doubled only while more copies are wanted, so
+    no int past the result's width is built."""
     out = 0
-    while count:
+    while True:
         if count & 1:
             out = out << width | block
+        count >>= 1
+        if not count:
+            return out
         block |= block << width
         width *= 2
-        count >>= 1
-    return out
 
 
 def _upper_set(gens, bounds, strides, volume):
@@ -350,19 +405,56 @@ def _upper_set(gens, bounds, strides, volume):
     index order.
 
     Starting from one bit per generator, axis i is swept bounds[i] times
-    with U |= (U & M_i) >> stride_i, where M_i holds the points with
-    a_i < bounds[i]: a step up axis i lowers the bit by stride_i.
+    with U |= (U & M_i) >> stride_i, where M_i is the room mask of _rooms:
+    a step up axis i lowers the bit by stride_i.
     """
     up = 0
     for g in gens:
         up |= 1 << (volume - 1 - sum(map(mul, g, strides)))
+    for b, s, room in _rooms(bounds, strides, volume):
+        for _ in range(b):
+            up |= (up & room) >> s
+    return up
+
+
+def _rooms(bounds, strides, volume):
+    """(bounds[i], stride_i, M_i) for each axis i with room, where M_i, in
+    the bit layout of _upper_set, holds the points with a_i < bounds[i].
+    Each mask is built when drawn, so a caller holds one at a time."""
     for b, s in zip(bounds, strides):
         if b:
             block = (b + 1) * s
-            room = _tile((1 << block) - (1 << s), block, volume // block)
-            for _ in range(b):
-                up |= (up & room) >> s
-    return up
+            yield b, s, _tile((1 << block) - (1 << s), block, volume // block)
+
+
+def _corners(stair, bounds, strides, volume):
+    """The maximal points of the down-set stair, in the bit layout of
+    _upper_set: the points a of stair whose every step a + e_i with room
+    leaves stair.  Bit p of stair << stride_i is the point one step up axis
+    i from the point at bit p, a true neighbour only where M_i has room."""
+    inner = 0
+    for _, s, room in _rooms(bounds, strides, volume):
+        inner |= (stair << s) & room
+    return stair & ~inner
+
+
+_NONZERO = re.compile(rb"[^\x00]")
+
+
+def _set_indices(bits, volume):
+    """The box indices of the set bits of bits (bit layout of _upper_set),
+    in index order.  They are read off the bytes of bits, volume / 8 of
+    them, so no volume-length string is built."""
+    size = (volume + 7) // 8
+    data = bits.to_bytes(size, "big")
+    for match in _NONZERO.finditer(data):
+        # bit b of data[q] is box index volume - 8 * (size - q) + 7 - b
+        q = match.start()
+        byte, base = data[q], volume - 8 * (size - q) + 7
+        while byte:
+            b = byte.bit_length() - 1
+            yield base - b
+            byte ^= 1 << b
 
 
 def _staircase_rows(up, width):

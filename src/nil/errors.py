@@ -1,5 +1,7 @@
 """Shared exception types, and how their messages write an int."""
 
+from reprlib import Repr
+
 
 class GraphError(ValueError):
     """Invalid graph construction or a graph-operation precondition failure."""
@@ -34,3 +36,15 @@ def _size_text(value):
         return str(value)
     bound = "at most -2^" if value < 0 else "at least 2^"
     return f"{bound}{value.bit_length() - 1}"
+
+
+class _Quote(Repr):
+    """reprlib's abridged values for error messages, with every int, also
+    one inside a tuple or list, written by _size_text: repr() of an int past
+    Python's int-string digit limit raises ValueError."""
+
+    def repr_int(self, x, level):
+        return _size_text(x)
+
+
+_quote = _Quote().repr

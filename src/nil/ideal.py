@@ -14,7 +14,7 @@ from bisect import bisect_left
 from itertools import islice
 from operator import add, le
 
-from .errors import GraphError, IdealError, ResourceLimitError
+from .errors import GraphError, IdealError, ResourceLimitError, _quote
 
 # Generator checks one contains_power search may make; each costs
 # O(support size).
@@ -47,15 +47,15 @@ def first_divisor(kept, a):
 
 def _check_exponent(a, n=None):
     if n is not None and len(a) != n:
-        raise IdealError(f"exponent length {len(a)} does not match ambient {n}")
+        raise IdealError(f"exponent length {len(a)} does not match ambient {_quote(n)}")
     for x in a:
         if type(x) is not int or x < 0:
-            raise IdealError(f"exponent entries must be nonnegative integers, got {x!r}")
+            raise IdealError(f"exponent entries must be nonnegative integers, got {_quote(x)}")
 
 
 def _check_positive(value, what="power"):
     if type(value) is not int or value < 1:
-        raise IdealError(f"{what} must be a positive integer, got {value!r}")
+        raise IdealError(f"{what} must be a positive integer, got {_quote(value)}")
 
 
 class MonomialIdeal:
@@ -69,7 +69,7 @@ class MonomialIdeal:
 
     def __init__(self, n, gens):
         if type(n) is not int or n < 0:
-            raise IdealError(f"ambient variable count must be nonnegative, got {n!r}")
+            raise IdealError(f"ambient variable count must be nonnegative, got {_quote(n)}")
         gens = sorted(set(tuple(g) for g in gens))
         for g in gens:
             _check_exponent(g, n)
@@ -77,7 +77,7 @@ class MonomialIdeal:
         for g in sorted(gens, key=sum):
             h = first_divisor(kept, g)
             if h is not None:
-                raise IdealError(f"generators are not an antichain: {h} divides {g}")
+                raise IdealError(f"generators are not an antichain: {_quote(h)} divides {_quote(g)}")
             kept.append(g)
         self.n = n
         self.gens = tuple(gens)
@@ -242,7 +242,7 @@ def restrict(I, V):
     V = set(V)
     for v in V:
         if not (type(v) is int and 1 <= v <= I.n):
-            raise IdealError(f"vertex {v!r} outside 1..{I.n}")
+            raise IdealError(f"vertex {_quote(v)} outside 1..{_quote(I.n)}")
     kept = [g for g in I.gens if support(g) <= V]
     # A subset of an antichain is an antichain: every generator is kept.
     return _minimal_ideal(I.n, kept)

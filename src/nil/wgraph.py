@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from reprlib import Repr
 
-from .errors import GraphError, ResourceLimitError, _size_text
+from .errors import GraphError, ResourceLimitError, _quote
 
 DEFAULT_CYCLE_CAP = 10**6
 # Every vertex gets a neighbour mask and a report entry, so a graph file
@@ -23,18 +22,6 @@ DEFAULT_CYCLE_CAP = 10**6
 # highest neighbour label, so the masks of n vertices hold up to n * n
 # bits: at this cap, 2^30 bits (128 MiB), refused before any is built.
 _MAX_VERTICES = 2**15
-
-
-class _Quote(Repr):
-    """reprlib's abridged values for error messages, with every int, also
-    one inside a tuple or list, written by _size_text: repr() of an int past
-    Python's int-string digit limit raises ValueError."""
-
-    def repr_int(self, x, level):
-        return _size_text(x)
-
-
-_quote = _Quote().repr
 
 
 class WeightedGraph:

@@ -7,10 +7,10 @@ logic.  Slow is fine; these run on tiny inputs.  The one exception is
 fraction_simplex, the library's pivot rules over Fractions, which pins the
 integer-preserving simplex to the same pivots and the same answers; and
 product_scan, the closure scan's walk of the whole box, which pins the
-staircase walk to the same solves, cuts and results; integer_cut, the
-scaling of a Fraction vector to ints over the lcm of its denominators,
-which product_scan and the simplex tests use to check the library's
-integer results; and the set-based graph layer (reference_components,
+scan (its corner test and its staircase walk) to the same failures and
+generators; integer_cut, the scaling of a Fraction vector to ints over the
+lcm of its denominators, which product_scan and the simplex tests use to
+check the library's integer results; and the set-based graph layer (reference_components,
 reference_chordless_cycles, reference_disjoint_odd_pairs and the finders
 and checks built on them), which pins the neighbour-mask layer to the same
 components, cycles, pairs and configurations on graphs too large for the
@@ -189,8 +189,9 @@ def product_scan(oracle, k, witness_only=False):
     and extends the oracle's cuts, as the library scan does, and solves
     through nil.closure.lp_max_weight, so a spy there sees both walks.
     Its cuts come from each result's Fraction dual through integer_cut, not
-    from the result's own integer cut, so equal cut lists check the
-    library's cuts independently.
+    from the result's own integer cut.  The library scan tests the
+    staircase's corners before it walks, so it solves other points, and
+    its cuts are checked on their own, not against these.
     """
     I, cuts = oracle.ideal, oracle.cuts
     bounds = nil.closure._box_bounds(I, k)

@@ -412,6 +412,13 @@ class TestClassify:
                 classify(G, config_cap=cap)
         assert len(classify(G, config_cap=1).found) == 1
 
+    def test_huge_config_cap_rejected_in_one_line(self):
+        # an int past the int-string digit limit is written by its size
+        G = build_graph(3, [(1, 2, 2), (2, 3, 2)])
+        with pytest.raises(GraphError) as err:
+            classify(G, -10**5000)
+        assert str(err.value) == "config_cap must be an integer >= 0, got at most -2^16609"
+
 
 class TestCertificates:
     def test_f1_equal_weights(self):
@@ -1086,6 +1093,13 @@ class TestCrossValidate:
         for budget in (None, "9", 0, -1, True, 1e7):
             with pytest.raises(IdealError, match="family_budget"):
                 cross_validate(GraphFamily(2, (1,)), t_max=1, family_budget=budget)
+
+    def test_huge_family_budget_rejected_in_one_line(self):
+        with pytest.raises(IdealError) as err:
+            cross_validate(GraphFamily(3, (1,)), family_budget=-10**5000)
+        assert str(err.value) == (
+            "family_budget must be a positive integer, got at most -2^16609"
+        )
 
     def test_family_budget(self):
         from nil.errors import ResourceLimitError

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
+from operator import mul
 
 import pytest
 
@@ -460,6 +461,14 @@ class TestClosureOracle:
             with pytest.raises(IdealError, match="t_max must be a positive integer"):
                 normality_scan(F1_IDEAL, t_max=t_max)
 
+    def test_huge_power_rejected_in_one_line(self, power_calls):
+        # the scan's own check writes an int past the int-string digit
+        # limit by its size
+        with pytest.raises(IdealError) as err:
+            closure_power_generators(F1_IDEAL, -10**5000)
+        assert str(err.value) == "power must be a positive integer, got at most -2^16609"
+        assert power_calls == []
+
     def test_rejects_a_bad_box_budget(self, power_calls):
         for budget in (None, "100", 1e7, True, 0, -1):
             with pytest.raises(IdealError, match="box_budget must be a positive integer"):
@@ -472,12 +481,19 @@ class TestClosureOracle:
 
 
 def assert_same_as_the_product_walk(walk, plain, k, witness_only):
-    """walk.scan and product_scan on plain: the same failures and cuts, and
-    in a full scan the same generators.  Returns the failures."""
+    """walk.scan and product_scan on plain: the same failures, and in a full
+    scan the same generators.  The scan tests the staircase's corners before
+    it walks, so it solves in another order than the product walk; its cuts
+    are checked on their own, in ints: distinct, each in lowest terms, and
+    dual feasible (Y >= 0 and <Y, g> >= D for every generator).  Returns
+    the failures."""
     found, failures = walk.scan(k, DEFAULT_BOX_BUDGET, witness_only)
     expected_found, expected_failures = product_scan(plain, k, witness_only)
     assert failures == expected_failures
-    assert walk.cuts == plain.cuts
+    assert len(set(walk.cuts)) == len(walk.cuts)
+    for Y, D in walk.cuts:
+        assert gcd(*Y, D) == 1 and min(Y) >= 0
+        assert all(sum(map(mul, Y, g)) >= D for g in walk.ideal.gens)
     if not witness_only:
         assert sorted(found) == sorted(expected_found)
     return failures
@@ -510,9 +526,9 @@ class TestStaircaseWalk:
             assert list(nil.closure._staircase_rows(bin(up | 1 << volume), width)) == rows
 
     def test_matches_the_product_walk(self):
-        # The staircase walk solves the LPs of the walk of the whole box, in
-        # the same order: same failures, same cuts, and in a full scan the
-        # same generators.  One oracle serves k = 1..3, so cuts carry over.
+        # The scan finds the failures of the walk of the whole box, and in a
+        # full scan the same generators, with cuts that are all certified
+        # duals.  One oracle serves k = 1..3, so cuts carry over.
         rng = random.Random(137)
         with_failures = 0
         for _ in range(1000):
@@ -589,6 +605,104 @@ class TestStaircaseWalk:
                     assert not any(divides(g, a) for a in solved for g in power_gens)
                     total += len(solved)
         assert total >= 100
+
+
+def brute_corners(I, k):
+    """The maximal points of the staircase of I^k in the degree box, by the
+    definition: points no generator of I^k divides, with no such point one
+    step above them on any axis."""
+    gens = power(I, k).gens
+    bounds = nil.closure._box_bounds(I, k)
+    stair = {
+        a
+        for a in product(*[range(b + 1) for b in bounds])
+        if not any(divides(g, a) for g in gens)
+    }
+    return {
+        a
+        for a in stair
+        if not any(a[:i] + (a[i] + 1,) + a[i + 1 :] in stair for i in range(I.n))
+    }
+
+
+class TestStaircaseCorners:
+    def corner_points(self, I, k):
+        """_corners of the staircase, read off bit by bit in index order."""
+        bounds = nil.closure._box_bounds(I, k)
+        volume = prod(b + 1 for b in bounds)
+        strides = [prod(b + 1 for b in bounds[i + 1 :]) for i in range(I.n)]
+        up = nil.closure._upper_set(power(I, k).gens, bounds, strides, volume)
+        corners = nil.closure._corners(((1 << volume) - 1) ^ up, bounds, strides, volume)
+        return {
+            a
+            for index, a in enumerate(product(*[range(b + 1) for b in bounds]))
+            if corners >> (volume - 1 - index) & 1
+        }
+
+    def test_corners_are_the_maximal_staircase_points(self):
+        rng = random.Random(163)
+        without_room = wide = 0
+        for _ in range(150):
+            I = random_ideal(rng, n_max=4, max_gens=4)
+            for k in (1, 2, 3):
+                assert self.corner_points(I, k) == brute_corners(I, k)
+            without_room += not all(map(any, zip(*I.gens)))
+        # The first and a middle axis without room, and rows of 256 points
+        # or more along the last axis.
+        for _ in range(40):
+            I = random_ideal(rng, n_max=3, max_gens=3)
+            for J in (
+                MonomialIdeal(I.n + 1, [(0,) + g for g in I.gens]),
+                MonomialIdeal(I.n + 1, [g[:1] + (0,) + g[1:] for g in I.gens]),
+                MonomialIdeal(I.n, [g[:-1] + (130 * g[-1],) for g in I.gens]),
+            ):
+                for k in (1, 2):
+                    assert self.corner_points(J, k) == brute_corners(J, k)
+                    bounds = nil.closure._box_bounds(J, k)
+                    wide += bounds[max(i for i, b in enumerate(bounds) if b)] >= 255
+        assert without_room >= 30 and wide >= 20
+
+    def test_a_closed_scan_solves_only_at_corners_and_walks_no_row(self, monkeypatch):
+        real_solve, real_rows = nil.closure.lp_max_weight, nil.closure._staircase_rows
+        solved, walks = [], []
+
+        def solve(I, a):
+            solved.append(tuple(a))
+            return real_solve(I, a)
+
+        def rows(up, width):
+            walks.append(width)
+            return real_rows(up, width)
+
+        monkeypatch.setattr(nil.closure, "lp_max_weight", solve)
+        monkeypatch.setattr(nil.closure, "_staircase_rows", rows)
+        rng = random.Random(167)
+        closed = not_closed = 0
+        for _ in range(60):
+            I = edge_ideal(random_graph_with_edge(rng, n_max=5, weights=(1, 1, 2)))
+            for k in (1, 2):
+                for witness_only in (False, True):
+                    solved.clear()
+                    walks.clear()
+                    found, failures = ClosureOracle(I).scan(
+                        k, DEFAULT_BOX_BUDGET, witness_only
+                    )
+                    if failures:
+                        not_closed += 1
+                        assert walks
+                        continue
+                    closed += 1
+                    assert not walks
+                    assert set(solved) <= brute_corners(I, k)
+                    assert found == ([] if witness_only else list(power(I, k).gens))
+        assert closed >= 60 and not_closed >= 30
+        # The weight-1 path on 10 vertices at k = 3: 4^10 box points, all
+        # decided at its corners.
+        solved.clear()
+        walks.clear()
+        path = edge_ideal(build_graph(10, [(i, i + 1, 1) for i in range(1, 10)]))
+        assert is_power_integrally_closed(path, 3) == (True, None)
+        assert not walks and 0 < len(solved) < 100
 
 
 class TestRebalanceEvenCycle:

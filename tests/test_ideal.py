@@ -58,6 +58,27 @@ class TestMonomialIdeal:
         with pytest.raises(IdealError, match="ambient"):
             MonomialIdeal(True, [(1,)])
 
+    def test_huge_values_written_by_size(self):
+        # Each message writes an int past the int-string digit limit by its
+        # size; str() of such an int raises ValueError.
+        huge = 10**5000
+        cases = [
+            (lambda: MonomialIdeal(-huge, []),
+             "ambient variable count must be nonnegative, got at most -2^16609"),
+            (lambda: MonomialIdeal(huge, [(1,)]),
+             "exponent length 1 does not match ambient at least 2^16609"),
+            (lambda: MonomialIdeal(2, [(1, -huge)]),
+             "exponent entries must be nonnegative integers, got at most -2^16609"),
+            (lambda: MonomialIdeal(1, [(huge,), (8 * huge,)]),
+             "generators are not an antichain: (at least 2^16609,) divides (at least 2^16612,)"),
+            (lambda: restrict(MonomialIdeal(2, [(1, 1)]), {huge}),
+             "vertex at least 2^16609 outside 1..2"),
+        ]
+        for build, message in cases:
+            with pytest.raises(IdealError) as err:
+                build()
+            assert str(err.value) == message
+
     def test_sorted_deterministically(self):
         I = MonomialIdeal(2, [(0, 2), (2, 0), (1, 1)])
         assert I.gens == ((0, 2), (1, 1), (2, 0))
@@ -147,6 +168,14 @@ class TestPower:
     def test_power_one_is_identity(self):
         I = MonomialIdeal(3, [(1, 1, 0), (0, 1, 1)])
         assert power(I, 1) == I
+
+    def test_huge_exponent_rejected_in_one_line(self):
+        I = MonomialIdeal(3, [(1, 1, 0), (0, 1, 1)])
+        with pytest.raises(IdealError) as err:
+            power(I, -10**5000)
+        assert str(err.value) == (
+            "power exponent must be a positive integer, got at most -2^16609"
+        )
 
     def test_zero_exponent_rejected(self):
         for t in (0, True):
