@@ -21,7 +21,6 @@ import os
 import sys
 from itertools import chain
 from pathlib import Path
-from reprlib import repr as _quote
 
 from . import __version__
 from .classifier import (
@@ -38,7 +37,7 @@ from .closure import (
     closure_power_generators,
     normality_scan,
 )
-from .errors import GraphError, GraphFileError, IdealError, ResourceLimitError
+from .errors import GraphError, GraphFileError, IdealError, ResourceLimitError, _quote
 from .ideal import edge_ideal
 from .wgraph import build_graph, classify_compact
 

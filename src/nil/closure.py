@@ -29,9 +29,10 @@ no cut rejects.
 No floating point appears anywhere in a decision path.  The simplex
 returns its optimum, primal and dual as arbitrary-precision ints, each
 over its least common denominator: num / den, C / Dc and Y / Dy.  The
-certificate checks run on those ints, the scan keeps (Y, Dy) as its cut
-and tests a solve's optimum as num >= k * den, and an LPResult builds the
-Fractions of its public optimum, coeffs and dual only when they are read.
+certificate checks run on those ints, the oracle keeps (Y, Dy) as its
+cut and tests a solve's optimum as num >= k * den, and an LPResult builds
+the Fractions of its public optimum, coeffs and dual only when they are
+read.
 """
 
 from __future__ import annotations
@@ -170,10 +171,10 @@ class ClosureOracle:
 
     The oracle owns the integer cuts (Y, D) of every certified dual solved
     on the ideal; a feasible dual does not depend on the power, so each cut
-    is valid at every k.  It also owns each power I^k, built once.  The
-    scan entry points below take an oracle in place of an ideal, so a
-    caller that scans several powers of one ideal, or needs I^k beside its
-    closure, builds each thing once.
+    is valid at every k, and their order changes no solve.  It also owns
+    each power I^k, built once.  The scan entry points below take an
+    oracle in place of an ideal, so a caller that scans several powers of
+    one ideal, or needs I^k beside its closure, builds each thing once.
     """
 
     __slots__ = ("ideal", "cuts", "_powers")
@@ -231,17 +232,16 @@ class ClosureOracle:
 
         A point a with <Y, a> < k * D for some cut has optimum below k, so
         it is skipped without a solve; a cut's bound grows along a row, so
-        it rejects a prefix of the row.  The scan tests the cuts as rules
-        (k * D, Y[:j], Y[j]) of its own, one per cut of the oracle at its
-        start and one more for each cut its solves add.  A rule that
-        rejects the rest of a row moves to the front of the scan's list,
-        since rows near it tend to be closed by it as well.  Each rule's
-        bound on a row does not depend on the others, so after the rules
-        x is their largest bound, or past the row's candidates, in any
-        order: the rule order changes no solve, and the oracle's cuts keep
-        the order in which they were found.  The walk also holds the
-        corners' cuts, so it may solve fewer or other points than the plain
-        product walk.  But a failure's optimum reaches k, so no cut rejects
+        it rejects a prefix of the row.  The walk tests the oracle's own
+        cuts in place, each by its entries on the row's prefix and on the
+        row axis.  A cut that rejects the rest of a row moves to the front
+        of the oracle's list, since rows near it tend to be closed by it as
+        well; later rows, corners and powers then try it first.  Each cut's
+        bound on a row does not depend on the others, so after the cuts x
+        is their largest bound, or past the row's candidates, in any order:
+        the cut order changes no solve.  The walk also holds the corners'
+        cuts, so it may solve fewer or other points than the plain product
+        walk.  But a failure's optimum reaches k, so no cut rejects
         it, and the candidates, marks and ceiling depend on the failures
         alone: the failures are the plain walk's, in its order, and so are
         the generators.
@@ -281,8 +281,6 @@ class ClosureOracle:
         prefixes = product(*[range(b + 1) for b in bounds[:j]])
         next_row = 0
         row_strides = [s // width for s in strides[:j]]
-        # scan-local rules (k * D, Y[:j], Y[j]), one per cut
-        rules = [(k * D, Y[:j], Y[j]) for Y, D in cuts]
         marked = None
         ceiling = sum(bounds) + 1
         failures = []
@@ -311,28 +309,24 @@ class ClosureOracle:
                         if m and m <= first:
                             first = m - 1
             while x < first:
-                # Each rule rejects a prefix of the row: move x past it.  A
-                # rule that rejects the rest of the row is tried first from
-                # then on.
-                for rule in rules:
-                    kD, Y, y = rule
-                    need = kD - sum(map(mul, Y, prefix))
+                # Each cut rejects a prefix of the row: move x past it.  A
+                # cut that rejects the rest of the row moves to the front of
+                # the oracle's list.
+                for cut in cuts:
+                    Y, D = cut
+                    need = k * D - sum(map(mul, Y, prefix))
+                    y = Y[j]
                     if need > y * x:
                         x = -(-need // y) if y else first
                         if x >= first:
-                            if rule is not rules[0]:
-                                rules.remove(rule)
-                                rules.insert(0, rule)
+                            if cut is not cuts[0]:
+                                cuts.remove(cut)
+                                cuts.insert(0, cut)
                             break
                 if x >= first:
                     break
                 a = prefix + (x,) + tail
-                result = lp_max_weight(I, a)
-                if result.cut not in cuts:
-                    cuts.append(result.cut)
-                    Y, D = result.cut
-                    rules.append((k * D, Y[:j], Y[j]))
-                if result.num >= k * result.den:
+                if self._solve(a, k):
                     if not failures:
                         rows = volume // width
                         marked = bytearray(rows) if width < 256 else [0] * rows
@@ -365,7 +359,6 @@ class ClosureOracle:
         volume-length string is held here; the walk builds its own only
         after this returns.
         """
-        I, cuts = self.ideal, self.cuts
         corners = _corners(((1 << volume) - 1) ^ up, bounds, strides, volume)
         for index in _set_indices(corners, volume):
             a = []
@@ -373,15 +366,20 @@ class ClosureOracle:
                 x, index = divmod(index, s)
                 a.append(x)
             if sum(a) < min_degree or any(
-                sum(map(mul, Y, a)) < k * D for Y, D in cuts
+                sum(map(mul, Y, a)) < k * D for Y, D in self.cuts
             ):
                 continue
-            result = lp_max_weight(I, a)
-            if result.cut not in cuts:
-                cuts.append(result.cut)
-            if result.num >= k * result.den:
+            if self._solve(a, k):
                 return True
         return False
+
+    def _solve(self, a, k):
+        """True iff x^a lies in the closure of I^k, by one LP solve whose
+        cut the oracle keeps if it is new."""
+        result = lp_max_weight(self.ideal, a)
+        if result.cut not in self.cuts:
+            self.cuts.append(result.cut)
+        return result.num >= k * result.den
 
 
 def _tile(block, width, count):

@@ -265,6 +265,21 @@ class TestExitCodes:
             assert len(err.encode()) < 200 and "Traceback" not in err
         assert err == "error: line 2: unknown directive 'yyyyyyyyyyyy...yyyyyyyyyyyyy'\n"
 
+    def test_input_errors_write_a_huge_int_by_its_size(self, tmp_path, capsys):
+        # the CLI quotes a value by the package's one rule: an int past 64
+        # bits is written as a power-of-two bound, also inside a list
+        path = tmp_path / "g.json"
+        for edges, shown in (
+            ([1234567890123456789012345678901], "at least 2^99"),
+            ([[1, 2, 3, -(2**200)]], "[1, 2, 3, at most -2^200]"),
+        ):
+            path.write_text(json.dumps({"vertices": 2, "edges": edges}))
+            assert main(["classify", str(path)]) == 2
+            assert capsys.readouterr() == (
+                "",
+                f"error: edge entries must be [u, v] or [u, v, w], got {shown}\n",
+            )
+
     def test_vertex_cap_exits_three(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
         path.write_text("vertices 1000000000\nedge 1 2\n")

@@ -540,8 +540,8 @@ class TestStaircaseWalk:
                     with_failures += bool(failures)
         assert with_failures >= 300
         # Edge ideals on 5 and 6 vertices: rows with prefixes over several
-        # axes, staircase rows skipped in bulk, and scans that hold enough
-        # cuts for the scan's own rule order to part from the oracle's.
+        # axes, staircase rows skipped in bulk, and oracles that hold enough
+        # cuts for the walk's move-to-front to reorder them.
         rng = random.Random(157)
         with_failures = 0
         for n, weights, count in ((5, (1, 2, 3), 12), (6, (1, 2), 12)):
@@ -554,6 +554,41 @@ class TestStaircaseWalk:
                         failures = assert_same_as_the_product_walk(walk, plain, k, witness_only)
                         with_failures += bool(failures)
         assert with_failures >= 10
+
+    def test_the_cut_order_changes_no_solve(self, monkeypatch):
+        # Each cut's bound on a row does not depend on the other cuts, so an
+        # oracle whose cuts are shuffled between powers solves the same
+        # points, in the same order, as one whose cuts are not, and ends
+        # with the same cuts.
+        original = nil.closure.lp_max_weight
+        solved = []
+
+        def spy(I, a):
+            solved.append(tuple(a))
+            return original(I, a)
+
+        def solves(oracle, k, witness_only):
+            solved.clear()
+            return oracle.scan(k, DEFAULT_BOX_BUDGET, witness_only), list(solved)
+
+        monkeypatch.setattr(nil.closure, "lp_max_weight", spy)
+        rng = random.Random(173)
+        reordered = not_closed = 0
+        for n, count in ((5, 12), (6, 8)):
+            for _ in range(count):
+                G = random_graph_with_edge(rng, n_min=n, n_max=n, weights=(1, 2, 3))
+                I = edge_ideal(G)
+                for witness_only in (False, True):
+                    kept, shuffled = ClosureOracle(I), ClosureOracle(I)
+                    assert solves(kept, 1, witness_only) == solves(shuffled, 1, witness_only)
+                    before = list(shuffled.cuts)
+                    rng.shuffle(shuffled.cuts)
+                    reordered += shuffled.cuts != before
+                    scan = solves(kept, 2, witness_only)
+                    assert solves(shuffled, 2, witness_only) == scan
+                    assert set(kept.cuts) == set(shuffled.cuts)
+                    not_closed += bool(scan[0][1])
+        assert reordered >= 30 and not_closed >= 25
 
     def test_rows_of_256_points_or_more(self):
         # Rows this long keep their marks in a list, not a bytearray.
